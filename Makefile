@@ -4,57 +4,23 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race race-faults race-updates race-obs race-governor race-scenarios race-chaos race-energy race-fleet telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline
+.PHONY: all build test race telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-# Tier-1 tests plus a race-detector pass over the concurrent packages (the
-# sweep pool, its consumers, and the instrumentation layer).
+# Tier-1 tests.
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments/... ./internal/sweep/... ./internal/obs/... ./internal/netsim/...
 
+# The race detector over the whole module: the sweep pool and everything
+# that fans work out over it (forward kernels, experiments, the energy
+# fold), the lock-free trace ring, the scenario engine and every stressor
+# and fleet path it drives. CI runs this on every push.
 race:
 	$(GO) test -race ./...
-
-# Race-detector pass focused on the fault-injection and sweep paths (the
-# packages the robustness runs drive concurrently). CI runs this on every
-# push; `make race` is the full-suite version.
-race-faults:
-	$(GO) test -race ./internal/faults/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/sweep/...
-
-# Race-detector pass focused on the hitless-update path: churn generation,
-# the shadow-bank pipeline commit, the ctrl update handle, and the
-# slice-quantised update harness over the sweep pool.
-race-updates:
-	$(GO) test -race ./internal/update/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/sweep/...
-
-# Race-detector pass focused on the telemetry layer: the obs registry, the
-# lock-free trace ring, the tracing pipeline hot path, and the harnesses
-# that feed series/events from slice coordinators while workers trace.
-race-obs:
-	$(GO) test -race ./internal/obs/... ./internal/pipeline/... ./internal/netsim/... ./internal/ctrl/... ./internal/sweep/...
-
-# Race-detector pass focused on the power-governor path: the controller,
-# the netsim harnesses that actuate its ladder, the shared ctrl backoff,
-# the power model feeding its estimates, and the sweep pool under it.
-race-governor:
-	$(GO) test -race ./internal/governor/... ./internal/netsim/... ./internal/ctrl/... ./internal/power/... ./internal/sweep/...
-
-# Race-detector pass focused on the composed scenario engine: the shared
-# slice coordinator, its stressor hooks, and every package a compound run
-# (load + faults + churn + power cap) drives concurrently.
-race-scenarios:
-	$(GO) test -race ./internal/scenario/... ./internal/netsim/... ./internal/ctrl/... ./internal/pipeline/... ./internal/governor/... ./internal/sweep/...
-
-# Race-detector pass focused on the crash-consistency path: the journal and
-# watchdog, the control-plane fault injector, the invariant auditor, and the
-# chaos-composed scenario runner over the sweep pool.
-race-chaos:
-	$(GO) test -race ./internal/ctrl/... ./internal/faults/... ./internal/pipeline/... ./internal/netsim/... ./internal/sweep/...
 
 # Telemetry smoke run: a fault-injection experiment with tracing, the slice
 # time series and the event log all enabled, dumped into telemetry-smoke/
@@ -146,13 +112,6 @@ chaos-smoke:
 	grep -q recovery_replay chaos-smoke/events.jsonl
 	grep -q invariant_audit chaos-smoke/events.jsonl
 
-# Race-detector pass focused on the energy accounting layer: the meter, the
-# harnesses whose workers fold per-shard meters, the scenario engine that
-# integrates static energy per slice, and the telemetry-parity differential
-# between the scalar and batched lookup cores.
-race-energy:
-	$(GO) test -race ./internal/energy/... ./internal/netsim/... ./internal/scenario/... ./internal/pipeline/... ./internal/sweep/...
-
 # Energy smoke run: the chaos-composed flagship spec with per-event energy
 # attribution on — executed at -j1 and -j8 and byte-compared (the energy
 # report and the dyn_j/static_j/j_per_bit series columns are part of the
@@ -175,12 +134,6 @@ energy-smoke:
 	grep -q 'Per-VNID dynamic energy' energy-smoke/report.txt
 	grep -q 'Energy per forwarded bit' energy-smoke/report.txt
 	head -1 energy-smoke/timeseries.csv | grep -q 'dyn_j,static_j,j_per_bit'
-
-# Race-detector pass focused on the fleet failure-domain layer: placement
-# and failover control, the device-scale fault injector, the fleet scenario
-# kernel, and the spec grammar feeding them, over the sweep pool.
-race-fleet:
-	$(GO) test -race ./internal/fleet/... ./internal/faults/... ./internal/netsim/... ./internal/scenario/... ./internal/sweep/...
 
 # Fleet smoke run: the N+1-spare failover flagship — eight networks packed
 # over two devices plus a dark spare, BOTH actives crashed in sequence

@@ -8,26 +8,27 @@
 // flips bits in the engines' memory images (and optionally kills an engine
 // outright), per-stage parity and a background readback sweep detect the
 // corruption, and the control plane scrubs the damaged engine back into
-// service. The report shows per-VNID availability and drops; -mttr-report
-// adds each upset's detect/repair lifecycle. Same seeds, same -j or not,
-// same bytes.
-//
-// With -churn the run becomes a hitless-update experiment: seeded churn
+// service. With -churn it becomes a hitless-update experiment: seeded churn
 // batches are coalesced, compiled, diffed against the serving images and
 // applied as write bubbles interleaved with the live lookups — no reload,
-// no blackhole. The report shows the measured vs analytic throughput
-// retained, the update latency, and the oracle-mismatch count (zero when
-// the shadow-bank commit is airtight); -update-report adds each batch's
-// lifecycle. Same seeds, same -j or not, same bytes.
+// no blackhole. -load P drives an open-loop run at per-network load P.
+// These three flag sets are sugar for a -scenario spec (printed in the
+// report's Spec row), each run for -packets cycles:
+//
+//	-load P    load=const:P,queue=64
+//	-faults    load=const:1/K,faults=seu:R[,kill=E@C],seed=<fault-seed>
+//	-churn     load=const:1/K,churn=BxO[:vn=N],seed=<churn-seed>
+//
+// -mttr-report adds each upset's detect/repair lifecycle and -update-report
+// each batch's lifecycle. Same seeds, same -j or not, same bytes.
 //
 // Usage:
 //
 //	lookupsim -scheme VM -k 4 -packets 10000 [-prefixes 1000] [-share 0.5]
 //	          [-dist uniform|zipf] [-routed] [-frames] [-load 0.5]
-//	          [-scenario load=...,faults=...,kill=...,churn=...,chaos=...,fleet=N:spare=M,power-cap=...]
+//	          [-scenario load=...,faults=...,kill=...,reconfig-fail=...,churn=...,chaos=...,fleet=N:spare=M,power-cap=...]
 //	          [-faults] [-fault-seed 1] [-seu-rate 1e-8]
-//	          [-kill-engine N -kill-cycle C] [-reconfig-failures N]
-//	          [-mttr-report]
+//	          [-kill-engine N -kill-cycle C] [-mttr-report]
 //	          [-churn] [-churn-seed 1] [-churn-batch 64] [-churn-batches 4]
 //	          [-churn-vn N] [-update-report]
 //	          [-trace-sample R] [-trace-buf N] [-trace-out F]
@@ -55,7 +56,9 @@
 // shared pipeline instead), then brownout — with hysteretic, backoff-paced
 // recovery that never oscillates. -power-cap-lift C removes the caps at
 // cycle C to demonstrate recovery; -governor-report prints time-at-tier and
-// per-VNID degradation. Same seeds, same -j or not, same bytes.
+// per-VNID degradation. The caps govern -load, -faults and -churn runs too,
+// since their sugar spec carries no power-cap= key. Same seeds, same -j or
+// not, same bytes.
 //
 // With -scenario SPEC all of the above compose into ONE run: a comma-
 // separated key=value spec selects a load shape, SEU faults, an engine
@@ -84,12 +87,12 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
 	"vrpower/internal/core"
 	"vrpower/internal/energy"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 	"vrpower/internal/netsim"
 	"vrpower/internal/obs"
@@ -114,13 +117,12 @@ type options struct {
 	seed     int64
 	scenario string
 
-	faults           bool
-	faultSeed        int64
-	seuRate          float64
-	killEngine       int
-	killCycle        int64
-	reconfigFailures int
-	mttrReport       bool
+	faults     bool
+	faultSeed  int64
+	seuRate    float64
+	killEngine int
+	killCycle  int64
+	mttrReport bool
 
 	churn        bool
 	churnSeed    int64
@@ -182,20 +184,19 @@ func main() {
 	var o options
 	flag.StringVar(&o.scheme, "scheme", "VM", "router scheme: NV, VS or VM")
 	flag.IntVar(&o.k, "k", 4, "number of virtual networks")
-	flag.IntVar(&o.packets, "packets", 10000, "packets to forward (fault runs: one offered packet per cycle)")
+	flag.IntVar(&o.packets, "packets", 10000, "packets to forward (closed-loop batch) or traffic cycles (-load, -faults, -churn)")
 	flag.IntVar(&o.prefixes, "prefixes", 1000, "routes per network")
 	flag.Float64Var(&o.share, "share", 0.5, "prefix-space share across networks")
 	flag.StringVar(&o.dist, "dist", "uniform", "traffic distribution: uniform or zipf")
 	flag.BoolVar(&o.routed, "routed", true, "draw destinations from the routed space")
 	flag.BoolVar(&o.frames, "frames", false, "drive the full frame path (parse -> lookup -> edit) instead of bare lookups")
 	flag.Float64Var(&o.load, "load", 0, "per-VN offered load for an open-loop run (0 = closed-loop batch)")
-	flag.StringVar(&o.scenario, "scenario", "", "composed scenario spec: comma-separated key=value stressors (load=, faults=, kill=, churn=, chaos=, fleet=, power-cap=, ...; see docs/CLI.md)")
+	flag.StringVar(&o.scenario, "scenario", "", "composed scenario spec: comma-separated key=value stressors (load=, faults=, kill=, reconfig-fail=, churn=, chaos=, fleet=, power-cap=, ...; see docs/CLI.md)")
 	flag.BoolVar(&o.faults, "faults", false, "run the fault-injection experiment (SEUs, detection, scrubbing)")
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "seed for the fault schedule (independent of -seed)")
 	flag.Float64Var(&o.seuRate, "seu-rate", 1e-8, "SEU probability per data bit per cycle")
 	flag.IntVar(&o.killEngine, "kill-engine", -1, "engine to hard-kill mid-run (-1 = none)")
 	flag.Int64Var(&o.killCycle, "kill-cycle", 0, "cycle at which -kill-engine fails")
-	flag.IntVar(&o.reconfigFailures, "reconfig-failures", 0, "fail the first N scrub reloads mid-flight")
 	flag.BoolVar(&o.mttrReport, "mttr-report", false, "print each upset's detect/repair lifecycle")
 	flag.BoolVar(&o.churn, "churn", false, "run the hitless-update experiment (write bubbles under live traffic)")
 	flag.Int64Var(&o.churnSeed, "churn-seed", 1, "seed for the churn schedule (independent of -seed)")
@@ -226,6 +227,8 @@ func main() {
 			log.Fatalf("-scenario composes its own stressors; drop %s and use the spec's load=/faults=/kill=/churn=/power-cap= keys instead",
 				strings.Join(clash, ", "))
 		}
+	} else {
+		o.scenario = legacySpec(o)
 	}
 
 	sweep.SetWorkers(*jobs)
@@ -322,7 +325,7 @@ func run(o options) error {
 func scenarioConflicts() []string {
 	conflicting := map[string]bool{
 		"faults": true, "fault-seed": true, "seu-rate": true,
-		"kill-engine": true, "kill-cycle": true, "reconfig-failures": true,
+		"kill-engine": true, "kill-cycle": true,
 		"churn": true, "churn-seed": true, "churn-batch": true,
 		"churn-batches": true, "churn-vn": true,
 		"load": true, "frames": true, "packets": true,
@@ -337,42 +340,40 @@ func scenarioConflicts() []string {
 	return clash
 }
 
+// legacySpec renders the -load, -faults and -churn flag sets as the
+// scenario spec they are sugar for, run for -packets cycles; "" when none
+// was given. -faults takes precedence over -churn, and -churn over -load.
+func legacySpec(o options) string {
+	oneIn := strconv.FormatFloat(1/float64(o.k), 'g', -1, 64)
+	var spec string
+	switch {
+	case o.faults:
+		spec = "load=const:" + oneIn
+		if o.seuRate > 0 {
+			spec += ",faults=seu:" + strconv.FormatFloat(o.seuRate, 'g', -1, 64)
+		}
+		if o.killEngine >= 0 {
+			spec += fmt.Sprintf(",kill=%d@%d", o.killEngine, o.killCycle)
+		}
+		spec += fmt.Sprintf(",seed=%d", o.faultSeed)
+	case o.churn:
+		spec = fmt.Sprintf("load=const:%s,churn=%dx%d", oneIn, o.churnBatches, o.churnBatch)
+		if o.churnVN >= 0 {
+			spec += fmt.Sprintf(":vn=%d", o.churnVN)
+		}
+		spec += fmt.Sprintf(",seed=%d", o.churnSeed)
+	case o.load > 0:
+		spec = "load=const:" + strconv.FormatFloat(o.load, 'g', -1, 64) + ",queue=64"
+	default:
+		return ""
+	}
+	return spec + fmt.Sprintf(",cycles=%d", o.packets)
+}
+
 // dispatch runs the experiment the flags selected.
 func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r *core.Router, o options) error {
 	if o.scenario != "" {
 		return runScenario(sys, gen, scheme, o)
-	}
-
-	if o.faults {
-		return runFaults(sys, gen, scheme, o)
-	}
-
-	if o.churn {
-		return runUpdates(sys, gen, scheme, o)
-	}
-
-	if o.load > 0 {
-		lrep, err := sys.LoadTest(gen, o.load, int64(o.packets), 64)
-		if err != nil {
-			return err
-		}
-		t := report.NewTable(
-			fmt.Sprintf("%s open-loop, K=%d, per-VN load %.2f over %d cycles", scheme, o.k, o.load, lrep.Cycles),
-			"Quantity", "Value")
-		t.AddF("Delivered fraction", fmt.Sprintf("%.4f", lrep.DeliveredFraction()))
-		t.AddF("Mean delay (cycles)", fmt.Sprintf("%.1f", lrep.MeanDelayCycles))
-		for vn := range lrep.Offered {
-			t.AddF(fmt.Sprintf("VN %d offered/delivered/dropped", vn),
-				fmt.Sprintf("%d / %d / %d", lrep.Offered[vn], lrep.Delivered[vn], lrep.Dropped[vn]))
-		}
-		fmt.Println(t.String())
-		if lrep.Governor != nil {
-			printGovernor(lrep.Governor, o.governorReport)
-		}
-		if o.energyReport {
-			printEnergy(lrep.Energy)
-		}
-		return nil
 	}
 
 	if o.frames {
@@ -508,14 +509,12 @@ func printGovernor(g *governor.Report, detailed bool) {
 	t.AddF("Converged under cap", conv)
 	t.AddF("Peak / final power (W)", fmt.Sprintf("%.2f / %.2f", g.PeakPowerW, g.FinalPowerW))
 	t.AddF("Final rung", fmt.Sprintf("%d (%s)", g.FinalRung, g.Rungs[g.FinalRung]))
-	var throttled, brownout, deferred int64
+	var throttled, brownout int64
 	for vn := range g.ThrottledPerVN {
 		throttled += g.ThrottledPerVN[vn]
 		brownout += g.BrownoutPerVN[vn]
-		deferred += g.DeferredPerVN[vn]
 	}
-	t.AddF("Arrivals throttled / browned out / deferred",
-		fmt.Sprintf("%d / %d / %d", throttled, brownout, deferred))
+	t.AddF("Arrivals throttled / browned out", fmt.Sprintf("%d / %d", throttled, brownout))
 	fmt.Println(t.String())
 
 	if !detailed {
@@ -526,9 +525,9 @@ func printGovernor(g *governor.Report, detailed bool) {
 		lt.AddF(i, name, g.TimeAtRung[i])
 	}
 	fmt.Println(lt.String())
-	vt := report.NewTable("Governor per-VNID degradation", "VN", "Throttled", "Brownout", "Deferred")
+	vt := report.NewTable("Governor per-VNID degradation", "VN", "Throttled", "Brownout")
 	for vn := range g.ThrottledPerVN {
-		vt.AddF(vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn], g.DeferredPerVN[vn])
+		vt.AddF(vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn])
 	}
 	fmt.Println(vt.String())
 }
@@ -622,138 +621,6 @@ func dumpTelemetry(tel *netsim.Telemetry, o options) error {
 	return nil
 }
 
-// runUpdates drives the hitless-update experiment and prints the throughput
-// and latency tables. All numbers come from the deterministic UpdateReport,
-// so the output is byte-identical at any -j.
-func runUpdates(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, o options) error {
-	ucfg := netsim.DefaultUpdateConfig()
-	ucfg.Seed = o.churnSeed
-	ucfg.BatchOps = o.churnBatch
-	ucfg.Batches = o.churnBatches
-	ucfg.TargetVN = o.churnVN
-	rep, err := sys.RunUpdates(gen, int64(o.packets), ucfg)
-	if err != nil {
-		return err
-	}
-
-	t := report.NewTable(
-		fmt.Sprintf("%s hitless updates, K=%d, %d traffic cycles (+%d drain), %d batches of %d ops, churn seed %d",
-			scheme, rep.K, rep.TrafficCycles, rep.DrainCycles, ucfg.Batches, ucfg.BatchOps, o.churnSeed),
-		"Quantity", "Value")
-	t.AddF("Batches applied", rep.BatchesApplied)
-	t.AddF("Stage writes / write bubbles", fmt.Sprintf("%d / %d", rep.Writes, rep.PlannedBubbles))
-	t.AddF("Throughput retained measured / analytic",
-		fmt.Sprintf("%.6f / %.6f", rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained()))
-	t.AddF("Oracle mismatches", rep.Mismatches)
-	t.AddF("Faulted lookups", rep.FaultedLookups)
-	t.AddF("Backlog peak (pkts)", rep.BacklogPeak)
-	t.AddF("Mean delay (cycles)", fmt.Sprintf("%.1f", rep.MeanDelayCycles))
-	for vn := 0; vn < rep.K; vn++ {
-		t.AddF(fmt.Sprintf("VN %d offered/delivered", vn),
-			fmt.Sprintf("%d / %d", rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn]))
-	}
-	t.AddF("Completed", rep.Completed)
-	fmt.Println(t.String())
-	if rep.Governor != nil {
-		printGovernor(rep.Governor, o.governorReport)
-	}
-	if o.energyReport {
-		printEnergy(rep.Energy)
-	}
-
-	if o.updateReport && len(rep.Batches) > 0 {
-		bt := report.NewTable("Churn batch lifecycle (cycles)",
-			"Seq", "VN", "Engine", "Ops raw/coalesced", "Writes", "Bubbles", "Armed", "Committed", "Latency")
-		for i, b := range rep.Batches {
-			bt.AddF(i, b.VN, b.Engine, fmt.Sprintf("%d/%d", b.RawOps, b.CoalescedOps),
-				b.Writes, b.Bubbles, b.ArmedAt, b.DoneAt, b.LatencyCycles())
-		}
-		fmt.Println(bt.String())
-	}
-
-	if rep.Mismatches != 0 {
-		return fmt.Errorf("%d lookups disagreed with their epoch's reference LPM", rep.Mismatches)
-	}
-	if !rep.Completed {
-		return fmt.Errorf("run ended with updates or backlogs outstanding")
-	}
-	return nil
-}
-
-// runFaults drives the fault-injection experiment and prints the
-// availability and MTTR tables. All numbers come from the deterministic
-// FaultReport, so the output is byte-identical at any -j.
-func runFaults(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, o options) error {
-	fcfg := netsim.FaultConfig{
-		Inject: faults.Config{
-			Seed:             o.faultSeed,
-			SEURate:          o.seuRate,
-			ReconfigFailures: o.reconfigFailures,
-		},
-	}
-	if o.killEngine >= 0 {
-		fcfg.Inject.Kill = true
-		fcfg.Inject.KillEngine = o.killEngine
-		fcfg.Inject.KillCycle = o.killCycle
-	}
-	rep, err := sys.RunFaults(gen, int64(o.packets), fcfg)
-	if err != nil {
-		return err
-	}
-
-	t := report.NewTable(
-		fmt.Sprintf("%s fault run, K=%d, %d traffic cycles (+%d drain), SEU rate %.2g, fault seed %d",
-			scheme, rep.K, rep.TrafficCycles, rep.DrainCycles, o.seuRate, o.faultSeed),
-		"Quantity", "Value")
-	t.AddF("SEUs injected / detected / repaired",
-		fmt.Sprintf("%d / %d / %d", len(rep.SEUs), rep.DetectedSEUs(), rep.RepairedSEUs()))
-	t.AddF("Scrubs / attempts / exhausted",
-		fmt.Sprintf("%d / %d / %d", rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted))
-	t.AddF("Mean time to repair (cycles)", fmt.Sprintf("%.1f", rep.MTTRCycles()))
-	t.AddF("Faulted lookups (dropped, not misforwarded)", rep.FaultedLookups)
-	t.AddF("Healthy mismatches vs reference LPM", rep.HealthyMismatches)
-	if rep.Kill != nil {
-		t.AddF(fmt.Sprintf("Engine %d kill at cycle %d", rep.Kill.Engine, rep.Kill.Cycle),
-			fmt.Sprintf("detected %d, repaired %d", rep.Kill.DetectedAt, rep.Kill.RepairedAt))
-	}
-	for vn := 0; vn < rep.K; vn++ {
-		t.AddF(fmt.Sprintf("VN %d offered/delivered/dropped, availability", vn),
-			fmt.Sprintf("%d / %d / %d, %.4f",
-				rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn], rep.DroppedPerVN[vn], rep.Availability(vn)))
-	}
-	t.AddF("Recovered", rep.Recovered)
-	fmt.Println(t.String())
-	if rep.Governor != nil {
-		printGovernor(rep.Governor, o.governorReport)
-	}
-	if o.energyReport {
-		printEnergy(rep.Energy)
-	}
-
-	if o.mttrReport && len(rep.SEUs) > 0 {
-		mt := report.NewTable("SEU lifecycle (cycles)",
-			"Seq", "Engine", "Stage/Index/Bit", "Injected", "Detected via", "Repaired", "TTR")
-		for _, u := range rep.SEUs {
-			det, repd, ttr := "-", "-", "-"
-			if u.DetectedAt >= 0 {
-				det = fmt.Sprintf("%d %s", u.DetectedAt, u.Via)
-			}
-			if u.RepairedAt >= 0 {
-				repd = fmt.Sprintf("%d", u.RepairedAt)
-				ttr = fmt.Sprintf("%d", u.RepairedAt-u.Cycle)
-			}
-			mt.AddF(u.Seq, u.Engine, fmt.Sprintf("%d/%d/%d", u.Stage, u.Index, u.Bit),
-				u.Cycle, det, repd, ttr)
-		}
-		fmt.Println(mt.String())
-	}
-
-	if rep.HealthyMismatches != 0 {
-		return fmt.Errorf("%d healthy lookups disagreed with the reference LPM", rep.HealthyMismatches)
-	}
-	return nil
-}
-
 // runScenario parses the -scenario spec, drives the composed run — every
 // requested stressor in one slice-quantised engine — and prints the unified
 // report: delivery and availability per VNID always, then a section per
@@ -795,6 +662,7 @@ func runScenario(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme,
 			fmt.Sprintf("%d / %d / %d", len(rep.SEUs), rep.DetectedSEUs(), rep.RepairedSEUs()))
 		ft.AddF("Scrubs / attempts / exhausted",
 			fmt.Sprintf("%d / %d / %d", rep.Scrubs, rep.ScrubAttempts, rep.ScrubsExhausted))
+		ft.AddF("Mean time to repair (cycles)", fmt.Sprintf("%.1f", rep.MTTRCycles()))
 		ft.AddF("Faulted lookups (dropped, not misforwarded)", rep.FaultedLookups)
 		if rep.Kill != nil {
 			ft.AddF(fmt.Sprintf("Engine %d kill at cycle %d", rep.Kill.Engine, rep.Kill.Cycle),

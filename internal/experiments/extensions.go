@@ -15,6 +15,7 @@ import (
 	"vrpower/internal/power"
 	"vrpower/internal/report"
 	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
 	"vrpower/internal/sched"
 	"vrpower/internal/stats"
 	"vrpower/internal/sweep"
@@ -491,8 +492,8 @@ func LoadSweep() (*report.Figure, error) {
 			return nil, err
 		}
 		// Each load point builds its own generator and the simulator state
-		// lives inside LoadTest, so the points are independent: fan them out
-		// over the bounded pool and reassemble in load order.
+		// lives inside RunScenario, so the points are independent: fan them
+		// out over the bounded pool and reassemble in load order.
 		y, err := sweep.Run(len(loads), func(i int) (float64, error) {
 			defer obsPointLatency.Since(time.Now())
 			obsSweepPoints.Inc()
@@ -500,7 +501,11 @@ func LoadSweep() (*report.Figure, error) {
 			if err != nil {
 				return 0, err
 			}
-			rep, err := sys.LoadTest(g, loads[i], 20000, 64)
+			spec, err := scenario.Parse(fmt.Sprintf("load=const:%g,queue=64,cycles=20000", loads[i]))
+			if err != nil {
+				return 0, err
+			}
+			rep, err := sys.RunScenario(g, spec)
 			if err != nil {
 				return 0, err
 			}

@@ -276,11 +276,11 @@ type Report struct {
 	// Rungs names the ladder; TimeAtRung is the cycles spent at each.
 	Rungs      []string
 	TimeAtRung []int64
-	// Per-VNID degradation accounting, filled by the harness actuators:
-	// Throttled counts arrivals refused by frequency stepping, quiescing or
-	// admission control; Brownout those dropped at the bottom rung;
-	// Deferred those delayed into a backlog (the hitless harness, which
-	// never drops).
+	// Per-VNID degradation accounting, filled by the run's actuator:
+	// Throttled counts arrivals refused by quiescing or admission control;
+	// Brownout those dropped at the bottom rung. Deferred is always zero:
+	// no runner defers arrivals any more, and the field stays only to keep
+	// serialized reports stable.
 	ThrottledPerVN []int64
 	BrownoutPerVN  []int64
 	DeferredPerVN  []int64
@@ -353,8 +353,8 @@ func (g *Governor) Rungs() int { return len(g.rungs) }
 // Current returns the rung in force and its index.
 func (g *Governor) Current() (Rung, int) { return g.rungs[g.cur], g.cur }
 
-// CountThrottled charges one arrival refused by frequency stepping,
-// quiescing or admission control to network vn.
+// CountThrottled charges one arrival refused by quiescing or admission
+// control to network vn.
 func (g *Governor) CountThrottled(vn int) {
 	if vn >= 0 && vn < len(g.rep.ThrottledPerVN) {
 		g.rep.ThrottledPerVN[vn]++
@@ -365,14 +365,6 @@ func (g *Governor) CountThrottled(vn int) {
 func (g *Governor) CountBrownout(vn int) {
 	if vn >= 0 && vn < len(g.rep.BrownoutPerVN) {
 		g.rep.BrownoutPerVN[vn]++
-	}
-}
-
-// CountDeferred charges one arrival the hitless harness delayed (never
-// dropped) under governor degradation to network vn.
-func (g *Governor) CountDeferred(vn int) {
-	if vn >= 0 && vn < len(g.rep.DeferredPerVN) {
-		g.rep.DeferredPerVN[vn]++
 	}
 }
 

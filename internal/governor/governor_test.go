@@ -271,7 +271,6 @@ func TestGovernorDeterministic(t *testing.T) {
 		drive(g, 32*1024, 64, 0.4)
 		g.CountThrottled(1)
 		g.CountBrownout(2)
-		g.CountDeferred(0)
 		return g.Report()
 	}
 	a, b := mk(), mk()

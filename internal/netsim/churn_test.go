@@ -1,23 +1,34 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
 )
 
+// churnSpec is the -churn preset (one packet per cycle in total, round-robin
+// batches of ops routes) with a queue deep enough that no arrival overflows
+// while bubbles hold the input slot, so a completed run must deliver every
+// offered packet.
+func churnSpec(k, batches, ops int, extra string) string {
+	return fmt.Sprintf("load=const:%s,churn=%dx%d%s,queue=4096", oneIn(k), batches, ops, extra)
+}
+
 // checkHitless asserts the invariants every completed hitless run must hold:
-// all batches committed, zero oracle mismatches, zero parity faults, and
-// every offered packet delivered — delayed by bubbles, never dropped.
-func checkHitless(t *testing.T, rep UpdateReport, wantBatches int) {
+// all batches committed, zero oracle mismatches, zero parity faults, every
+// offered packet delivered — delayed by bubbles, never dropped — and every
+// planned write bubble injected.
+func checkHitless(t *testing.T, rep ScenarioReport, wantBatches int) {
 	t.Helper()
 	if !rep.Completed {
 		t.Fatalf("run did not complete: %d/%d batches applied", rep.BatchesApplied, wantBatches)
 	}
-	if rep.BatchesApplied != wantBatches {
-		t.Errorf("applied %d batches, want %d", rep.BatchesApplied, wantBatches)
+	if rep.BatchesApplied != wantBatches || rep.BatchesAborted != 0 {
+		t.Errorf("applied %d batches (%d aborted), want %d", rep.BatchesApplied, rep.BatchesAborted, wantBatches)
 	}
 	if rep.Mismatches != 0 {
 		t.Errorf("oracle mismatches = %d, want 0 (shadow-bank commit leaked a mixed image)", rep.Mismatches)
@@ -31,15 +42,8 @@ func checkHitless(t *testing.T, rep UpdateReport, wantBatches int) {
 				vn, rep.DeliveredPerVN[vn], rep.OfferedPerVN[vn])
 		}
 	}
-	if rep.BubbleCycles != rep.PlannedBubbles {
-		t.Errorf("spent %d bubble cycles, planned %d", rep.BubbleCycles, rep.PlannedBubbles)
-	}
-	// The measured retained throughput must sit within 1% of the analytic
-	// prediction for the same bubble count (they agree exactly when every
-	// planned bubble was injected).
-	meas, ana := rep.MeasuredThroughputRetained(), rep.AnalyticThroughputRetained()
-	if diff := meas - ana; diff > 0.01 || diff < -0.01 {
-		t.Errorf("measured retained %.6f vs analytic %.6f, want within 1%%", meas, ana)
+	if rep.Energy.Bubbles != rep.PlannedBubbles {
+		t.Errorf("spent %d bubble slots, planned %d", rep.Energy.Bubbles, rep.PlannedBubbles)
 	}
 	for i, b := range rep.Batches {
 		if b.Writes <= 0 || b.Bubbles <= 0 {
@@ -56,31 +60,20 @@ func checkHitless(t *testing.T, rep UpdateReport, wantBatches int) {
 
 func TestRunUpdatesHitlessVS(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	cfg := DefaultUpdateConfig()
-	rep, err := s.RunUpdates(faultGen(t, s, 23), 16*1024, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkHitless(t, rep, cfg.Batches)
+	rep := runSpec(t, s, 23, churnSpec(3, 4, 64, "")+",seed=1,cycles=16384")
+	checkHitless(t, rep, 4)
 	// Round-robin targeting: each batch rewrites only its network's engine.
 	for i, b := range rep.Batches {
 		if b.VN != i%3 || b.Engine != b.VN {
 			t.Errorf("batch %d: VN=%d engine=%d, want round-robin VN %d on its own engine", i, b.VN, b.Engine, i%3)
 		}
 	}
-	if rep.BacklogPeak == 0 {
-		t.Error("backlog never grew: bubbles should displace arrivals under back-to-back traffic")
-	}
 }
 
 func TestRunUpdatesHitlessVM(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
-	cfg := DefaultUpdateConfig()
-	rep, err := s.RunUpdates(faultGen(t, s, 29), 16*1024, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkHitless(t, rep, cfg.Batches)
+	rep := runSpec(t, s, 29, churnSpec(3, 4, 64, "")+",seed=1,cycles=16384")
+	checkHitless(t, rep, 4)
 	for i, b := range rep.Batches {
 		if b.Engine != 0 {
 			t.Errorf("batch %d on engine %d, want 0 (the shared merged engine)", i, b.Engine)
@@ -90,28 +83,19 @@ func TestRunUpdatesHitlessVM(t *testing.T) {
 
 // TestRunUpdatesVMCostlierThanVS pins the paper's update asymmetry under
 // live traffic: the same churn schedule costs the merged scheme more writes
-// and bubbles (the shared structure is rewritten) and retains less
-// throughput than the separate scheme.
+// and bubbles (the shared structure is rewritten) than the separate scheme.
 func TestRunUpdatesVMCostlierThanVS(t *testing.T) {
-	run := func(sc core.Scheme) UpdateReport {
+	run := func(sc core.Scheme) ScenarioReport {
 		s, _ := buildSystem(t, sc, 3)
-		cfg := DefaultUpdateConfig()
-		cfg.TargetVN = 1 // identical churn schedule on both schemes
-		rep, err := s.RunUpdates(faultGen(t, s, 31), 16*1024, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkHitless(t, rep, cfg.Batches)
+		// vn=1 pins an identical churn schedule on both schemes.
+		rep := runSpec(t, s, 31, churnSpec(3, 4, 64, ":vn=1")+",seed=1,cycles=16384")
+		checkHitless(t, rep, 4)
 		return rep
 	}
 	vs, vm := run(core.VS), run(core.VM)
-	if vm.Writes <= vs.Writes || vm.PlannedBubbles <= vs.PlannedBubbles {
+	if vm.UpdateWrites <= vs.UpdateWrites || vm.PlannedBubbles <= vs.PlannedBubbles {
 		t.Errorf("VM (writes=%d bubbles=%d) not costlier than VS (writes=%d bubbles=%d)",
-			vm.Writes, vm.PlannedBubbles, vs.Writes, vs.PlannedBubbles)
-	}
-	if vm.MeasuredThroughputRetained() >= vs.MeasuredThroughputRetained() {
-		t.Errorf("VM retained %.6f >= VS retained %.6f, want lower (more bubbles over fewer engine-cycles)",
-			vm.MeasuredThroughputRetained(), vs.MeasuredThroughputRetained())
+			vm.UpdateWrites, vm.PlannedBubbles, vs.UpdateWrites, vs.PlannedBubbles)
 	}
 }
 
@@ -119,14 +103,10 @@ func TestRunUpdatesVMCostlierThanVS(t *testing.T) {
 // delay sums, per-VN counters — must be identical at -j 1 and -j 8.
 func TestRunUpdatesDeterministicAcrossWorkers(t *testing.T) {
 	defer sweep.SetWorkers(0)
-	run := func(workers int) UpdateReport {
+	run := func(workers int) ScenarioReport {
 		sweep.SetWorkers(workers)
 		s, _ := buildSystem(t, core.VS, 4)
-		rep, err := s.RunUpdates(faultGen(t, s, 37), 8*1024, DefaultUpdateConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
+		return runSpec(t, s, 37, churnSpec(4, 4, 64, "")+",seed=1,cycles=8192")
 	}
 	j1, j8 := run(1), run(8)
 	if !reflect.DeepEqual(j1, j8) {
@@ -139,13 +119,7 @@ func TestRunUpdatesDeterministicAcrossWorkers(t *testing.T) {
 // zero mismatches throughout.
 func TestRunUpdatesSoak(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	cfg := DefaultUpdateConfig()
-	cfg.Batches = 10
-	cfg.BatchOps = 48
-	rep, err := s.RunUpdates(faultGen(t, s, 41), 40*1024, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 41, churnSpec(3, 10, 48, "")+",seed=1,cycles=40960")
 	checkHitless(t, rep, 10)
 	// The batches must actually land inside the traffic window, not pile up
 	// in the drain: this is churn under load, not churn after it.
@@ -162,28 +136,18 @@ func TestRunUpdatesSoak(t *testing.T) {
 
 func TestRunUpdatesValidation(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 2)
-	if _, err := s.RunUpdates(faultGen(t, s, 43), 0, DefaultUpdateConfig()); err == nil {
-		t.Error("zero-cycle run accepted")
-	}
-	cfg := DefaultUpdateConfig()
-	cfg.TargetVN = 5
-	if _, err := s.RunUpdates(faultGen(t, s, 43), 1024, cfg); err == nil {
+	if _, err := s.RunScenario(faultGen(t, s, 43), mustParse(t, "churn=4x64:vn=5")); err == nil {
 		t.Error("out-of-range target network accepted")
 	}
 	// NV has no runtime update path.
 	nv, _ := buildSystem(t, core.NV, 1)
-	if _, err := nv.RunUpdates(faultGen(t, nv, 43), 1024, DefaultUpdateConfig()); err == nil {
+	if _, err := nv.RunScenario(faultGen(t, nv, 43), mustParse(t, "churn=4x64")); err == nil {
 		t.Error("NV update run accepted")
 	}
-	// Zero batches degenerates to plain forwarding and still completes.
-	cfg = DefaultUpdateConfig()
-	cfg.Batches = -1 // withDefaults must not resurrect it
-	if _, err := s.RunUpdates(faultGen(t, s, 43), 1024, cfg); err == nil {
-		t.Error("negative batch count accepted")
-	}
-	cfg.Batches = 0
-	cfg = cfg.withDefaults()
-	if cfg.Batches != 4 {
-		t.Errorf("withDefaults gave %d batches, want 4", cfg.Batches)
+	// A zero-batch churn spec is not a spec.
+	for _, bad := range []string{"churn=0x64", "churn=4x0", "churn=-1x64"} {
+		if _, err := scenario.Parse(bad); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
 }

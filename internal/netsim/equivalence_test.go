@@ -1,13 +1,15 @@
 package netsim
 
-// Equivalence goldens: these snapshots were generated from the standalone
-// per-harness coordinator loops that predate the unified scenario engine
-// (internal/scenario). Every legacy harness — Forward, LoadTest, RunFaults,
-// RunUpdates — must keep producing byte-identical reports AND byte-identical
-// telemetry dumps (traces, time series, events) through the engine, at any
-// worker count. If one of these tests fails after an engine change, the
-// refactor changed observable behaviour: fix the engine, do not regenerate
-// the goldens casually.
+// Equivalence goldens: every runner configuration below must keep producing
+// byte-identical reports AND byte-identical telemetry dumps (traces, time
+// series, events) at any worker count. forward_vm is the one-shot batch;
+// the load_*, faults_* and updates_* cases are the lookupsim -load, -faults
+// and -churn presets as RunScenario specs (same scheme, stressor and
+// governor mix as the harnesses they replaced); the scenario_* cases are
+// full compositions. If one of these tests fails after a change, the change
+// altered observable behaviour: fix the code, do not regenerate the goldens
+// casually. Every case's energy section must also satisfy the attribution
+// invariant.
 //
 // Regenerate (only for an intentional, documented behaviour change):
 //
@@ -22,7 +24,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
@@ -63,11 +64,7 @@ func equivalenceCases() []equivalenceCase {
 			s, _ := buildSystem(t, core.VS, 3)
 			s.SetTelemetry(tel)
 			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 41), 0.8, 6*1024+100, 64)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 41, "load=const:0.8,queue=64,cycles=6244"))
 		}},
 		{"load_vm_governed", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VM, 3)
@@ -75,27 +72,15 @@ func equivalenceCases() []equivalenceCase {
 			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1, 0.35)})
 			defer s.SetGovernor(nil)
 			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 37), 0.3, 12*1024, 16)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 37, "load=const:0.3,queue=16,cycles=12288"))
 		}},
 		{"faults_vs_kill", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VS, 3)
 			s.SetTelemetry(tel)
 			defer s.SetTelemetry(nil)
 			const cycles = 8 * 1024
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, FaultConfig{
-				Inject: faults.Config{
-					Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-					Kill: true, KillEngine: 0, KillCycle: 2000,
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 29, "load=const:%s,faults=seu:%g,kill=0@2000,seed=5,cycles=%d",
+				oneIn(3), seuRateFor(s, 3, cycles), cycles))
 		}},
 		{"faults_vm_governed", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VM, 3)
@@ -104,23 +89,14 @@ func equivalenceCases() []equivalenceCase {
 			defer s.SetGovernor(nil)
 			defer s.SetTelemetry(nil)
 			const cycles = 16 * 1024
-			rep, err := s.RunFaults(faultGen(t, s, 43), cycles, FaultConfig{
-				Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 43, "load=const:%s,faults=seu:%g,seed=7,cycles=%d",
+				oneIn(3), seuRateFor(s, 3, cycles), cycles))
 		}},
 		{"updates_vs", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VS, 3)
 			s.SetTelemetry(tel)
 			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 8*1024, DefaultUpdateConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 23, "load=const:%s,churn=4x64,seed=1,cycles=8192", oneIn(3)))
 		}},
 		{"updates_vs_governed", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VS, 3)
@@ -128,23 +104,13 @@ func equivalenceCases() []equivalenceCase {
 			s.SetGovernor(&governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.5), LiftCycle: 8 * 1024})
 			defer s.SetGovernor(nil)
 			defer s.SetTelemetry(nil)
-			cfg := DefaultUpdateConfig()
-			cfg.MaxDrainSlices = 400
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 16*1024, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 23, "load=const:%s,churn=4x64,seed=1,cycles=16384", oneIn(3)))
 		}},
 		{"updates_vm", func(t *testing.T, tel *Telemetry) string {
 			s, _ := buildSystem(t, core.VM, 3)
 			s.SetTelemetry(tel)
 			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 29), 8*1024, DefaultUpdateConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return dumpJSON(t, rep)
+			return dumpJSON(t, runSpec(t, s, 29, "load=const:%s,churn=4x64,seed=1,cycles=8192", oneIn(3)))
 		}},
 		{"scenario_chaos", func(t *testing.T, tel *Telemetry) string {
 			// The full composition: surge load, SEU scrubs, churn, a power
@@ -190,7 +156,8 @@ func equivalenceCases() []equivalenceCase {
 
 // TestHarnessEquivalenceGoldens runs every case at -j1 and -j8 and requires
 // the full observable output — report JSON, trace/series/event dumps — to be
-// byte-identical to the pre-refactor snapshot at both worker counts.
+// byte-identical to the recorded snapshot at both worker counts, and the
+// report's energy breakdown to satisfy the attribution invariant.
 func TestHarnessEquivalenceGoldens(t *testing.T) {
 	defer sweep.SetWorkers(0)
 	for _, c := range equivalenceCases() {
@@ -200,6 +167,7 @@ func TestHarnessEquivalenceGoldens(t *testing.T) {
 				sweep.SetWorkers(workers)
 				tel := testTelemetry(0.05, 99)
 				repJSON := c.run(t, tel)
+				checkAttribution(t, repJSON)
 				traces, series, events := dumps(t, tel)
 				got := strings.Join([]string{
 					"== report ==", repJSON,
@@ -230,7 +198,7 @@ func TestHarnessEquivalenceGoldens(t *testing.T) {
 				t.Fatalf("missing golden %s (run with -update-equivalence): %v", path, err)
 			}
 			if rendered != string(want) {
-				t.Errorf("%s drifted from the pre-refactor snapshot (%d vs %d bytes).\nIf this change is intentional, regenerate with -update-equivalence and call it out in the PR.\n--- got (first 2000 bytes) ---\n%.2000s",
+				t.Errorf("%s drifted from the recorded snapshot (%d vs %d bytes).\nIf this change is intentional, regenerate with -update-equivalence and call it out in the PR.\n--- got (first 2000 bytes) ---\n%.2000s",
 					c.name, len(rendered), len(want), rendered)
 			}
 		})

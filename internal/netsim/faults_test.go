@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/ctrl"
-	"vrpower/internal/faults"
 	"vrpower/internal/sweep"
 	"vrpower/internal/traffic"
 )
@@ -37,15 +35,9 @@ func seuRateFor(s *System, n float64, cycles int64) float64 {
 // killed network back within the run.
 func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 17), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 42, Kill: true, KillEngine: 1, KillCycle: 3000},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	rep := runSpec(t, s, 17, "load=const:%s,kill=1@3000,seed=42,cycles=16384", oneIn(3))
+	if rep.Mismatches != 0 {
+		t.Errorf("oracle mismatches = %d, want 0", rep.Mismatches)
 	}
 	for _, vn := range []int{0, 2} {
 		if rep.DroppedPerVN[vn] != 0 {
@@ -83,17 +75,12 @@ func TestVSKillBlackholesOnlyItsOwnVNID(t *testing.T) {
 func TestVMSEUDisruptsAllNetworks(t *testing.T) {
 	s, _ := buildSystem(t, core.VM, 3)
 	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 19), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 19, "load=const:%s,faults=seu:%g,seed=7,cycles=%d", oneIn(3), seuRateFor(s, 3, cycles), cycles)
 	if len(rep.SEUs) == 0 {
 		t.Fatal("no SEUs landed; rate tuning is off")
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("oracle mismatches = %d, want 0", rep.Mismatches)
 	}
 	if rep.Scrubs == 0 {
 		t.Fatal("no scrub ran despite injected SEUs")
@@ -121,13 +108,7 @@ func TestVMSEUDisruptsAllNetworks(t *testing.T) {
 func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 2)
 	const cycles = 16 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 23), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 99, SEURate: seuRateFor(s, 4, cycles), ReconfigFailures: 1},
-		Scrub:  ctrl.ScrubPolicy{MaxAttempts: 4, BackoffCycles: 64, WriteCycles: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 23, "load=const:0.5,faults=seu:%g,reconfig-fail=1,seed=99,cycles=%d", seuRateFor(s, 4, cycles), cycles)
 	if len(rep.SEUs) == 0 {
 		t.Fatal("no SEUs landed; rate tuning is off")
 	}
@@ -152,8 +133,8 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 	if rep.ScrubsExhausted != 0 {
 		t.Errorf("%d scrubs exhausted their budget", rep.ScrubsExhausted)
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("oracle mismatches = %d, want 0", rep.Mismatches)
 	}
 	if !rep.Recovered {
 		t.Error("run did not recover")
@@ -163,18 +144,11 @@ func TestAllSEUsDetectedAndScrubbed(t *testing.T) {
 // TestKillLastEngineDegradesInsteadOfPanicking: killing the only engine of a
 // K=1 system while every reconfiguration attempt fails must leave the run
 // degraded — blackholed traffic, Recovered=false — never panicking or
-// spinning. The reconfig-failure budget outlasts the scrub retry budget, so
-// the scrubber exhausts and declares the engine dead.
+// spinning. The reconfig-failure budget (reconfig-fail=16) outlasts the
+// scrub retry budget, so the scrubber exhausts and declares the engine dead.
 func TestKillLastEngineDegradesInsteadOfPanicking(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 1)
-	const cycles = 8 * 1024
-	rep, err := s.RunFaults(faultGen(t, s, 37), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 3, Kill: true, KillEngine: 0, KillCycle: 2000, ReconfigFailures: 16},
-		Scrub:  ctrl.ScrubPolicy{MaxAttempts: 2, BackoffCycles: 32, WriteCycles: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 37, "load=const:1,kill=0@2000,reconfig-fail=16,seed=3,cycles=8192")
 	if rep.ScrubsExhausted == 0 {
 		t.Error("scrub never exhausted its retry budget")
 	}
@@ -200,21 +174,12 @@ func TestFaultRunDeterministicAcrossWorkers(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.VS, core.VM} {
 		s, _ := buildSystem(t, scheme, 3)
 		const cycles = 8 * 1024
-		cfg := FaultConfig{
-			Inject: faults.Config{
-				Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-				Kill: true, KillEngine: 0, KillCycle: 2000,
-				ReconfigFailures: 1,
-			},
-		}
-		var reports []FaultReport
+		var reports []ScenarioReport
 		for _, workers := range []int{1, 8} {
 			sweep.SetWorkers(workers)
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", scheme, workers, err)
-			}
-			reports = append(reports, rep)
+			reports = append(reports, runSpec(t, s, 29,
+				"load=const:%s,faults=seu:%g,kill=0@2000,reconfig-fail=1,seed=5,cycles=%d",
+				oneIn(3), seuRateFor(s, 3, cycles), cycles))
 		}
 		if !reflect.DeepEqual(reports[0], reports[1]) {
 			t.Errorf("%s: fault report differs between -j1 and -j8:\n%+v\n%+v", scheme, reports[0], reports[1])
@@ -222,15 +187,12 @@ func TestFaultRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestFaultRunCleanBaseline: with a zero fault config the run must behave
-// exactly like plain forwarding — nothing dropped, nothing scrubbed, fully
-// recovered.
+// TestFaultRunCleanBaseline: the fault preset's load with no upset and no
+// kill must behave exactly like plain forwarding — nothing dropped, nothing
+// scrubbed, fully recovered.
 func TestFaultRunCleanBaseline(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 2)
-	rep, err := s.RunFaults(faultGen(t, s, 31), 4096, FaultConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 31, "load=const:0.5,cycles=4096")
 	if len(rep.SEUs) != 0 || rep.Kill != nil || rep.Scrubs != 0 {
 		t.Errorf("clean run injected faults: %+v", rep)
 	}
@@ -242,10 +204,10 @@ func TestFaultRunCleanBaseline(t *testing.T) {
 			t.Errorf("clean run VN %d: offered %d, delivered %d", vn, rep.OfferedPerVN[vn], rep.DeliveredPerVN[vn])
 		}
 	}
-	if rep.HealthyMismatches != 0 || rep.FaultedLookups != 0 {
+	if rep.Mismatches != 0 || rep.FaultedLookups != 0 {
 		t.Errorf("clean run saw faults: %+v", rep)
 	}
-	if !rep.Recovered || rep.DrainCycles != 0 {
-		t.Errorf("clean run not trivially recovered: recovered=%v drain=%d", rep.Recovered, rep.DrainCycles)
+	if !rep.Recovered || !rep.Completed {
+		t.Errorf("clean run not trivially recovered: recovered=%v completed=%v", rep.Recovered, rep.Completed)
 	}
 }

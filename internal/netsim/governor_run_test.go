@@ -1,12 +1,12 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/governor"
 )
 
@@ -23,8 +23,8 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 	return floor + (steady-floor)*frac
 }
 
-// TestGovernedLoadTestConvergesAndRecovers is the tentpole's end-to-end
-// demonstration on the separate scheme: a cap below steady-state power must
+// TestGovernedLoadTestConvergesAndRecovers is the governor's end-to-end
+// demonstration on the separate scheme under the -load preset: a cap below steady-state power must
 // force the ladder down (frequency first, then shedding the lowest-priority
 // VNIDs), converge under the cap within a ladder-bounded number of violating
 // slices, hold there without oscillating, and — once the cap lifts mid-run —
@@ -35,10 +35,7 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	cap := capBelowSteady(s, 0.9, 0.4)
 	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: lift})
 	defer s.SetGovernor(nil)
-	rep, err := s.LoadTest(faultGen(t, s, 31), 0.9, cycles, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 31, "load=const:0.9,queue=64,cycles=%d", cycles)
 	g := rep.Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
@@ -78,15 +75,15 @@ func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 			t.Errorf("VN %d saw %d brownout drops below the brownout rung", vn, n)
 		}
 	}
-	if rep.Delivered[0] <= rep.Delivered[2] {
-		t.Errorf("degradation not in priority order: delivered %v", rep.Delivered)
+	if rep.DeliveredPerVN[0] <= rep.DeliveredPerVN[2] {
+		t.Errorf("degradation not in priority order: delivered %v", rep.DeliveredPerVN)
 	}
 	// Time accounting covers the whole run.
 	var at int64
 	for _, c := range g.TimeAtRung {
 		at += c
 	}
-	if at != g.Slices*loadSliceCycles {
+	if at != g.Slices*rep.SliceCycles {
 		t.Errorf("TimeAtRung sums to %d cycles over %d slices", at, g.Slices)
 	}
 }
@@ -102,10 +99,7 @@ func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	defer s.SetGovernor(nil)
 	// Shallow queues: the backlog built while the ladder walks down drains
 	// within the first admission slice instead of masquerading as demand.
-	rep, err := s.LoadTest(faultGen(t, s, 37), 0.3, 48*1024, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 37, "load=const:0.3,queue=16,cycles=49152")
 	g := rep.Governor
 	if g == nil {
 		t.Fatal("governed run returned no governor report")
@@ -128,57 +122,7 @@ func TestGovernedLoadTestVMThrottlesAllNetworks(t *testing.T) {
 	}
 }
 
-// TestGovernedUpdatesDeferNeverDrop: the hitless harness under a governor
-// defers throttled arrivals into the engine backlogs instead of dropping
-// them, so once the cap lifts every offered packet is still delivered and
-// every batch still commits.
-func TestGovernedUpdatesDeferNeverDrop(t *testing.T) {
-	s, _ := buildSystem(t, core.VS, 3)
-	cap := capBelowSteady(s, 1.0/3, 0.5)
-	s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 12 * 1024})
-	defer s.SetGovernor(nil)
-	cfg := DefaultUpdateConfig()
-	cfg.MaxDrainSlices = 400
-	rep, err := s.RunUpdates(faultGen(t, s, 41), 24*1024, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := rep.Governor
-	if g == nil {
-		t.Fatal("governed run returned no governor report")
-	}
-	if g.Escalations == 0 {
-		t.Fatalf("cap %.2f W caused no throttling: %+v", cap, g)
-	}
-	var deferred int64
-	for _, n := range g.DeferredPerVN {
-		deferred += n
-	}
-	if deferred == 0 {
-		t.Error("no arrivals accounted as deferred under degradation")
-	}
-	for vn := range g.ThrottledPerVN {
-		if g.ThrottledPerVN[vn] != 0 || g.BrownoutPerVN[vn] != 0 {
-			t.Errorf("hitless run dropped for the governor (vn %d: throttled %d, brownout %d)",
-				vn, g.ThrottledPerVN[vn], g.BrownoutPerVN[vn])
-		}
-	}
-	if !rep.Completed {
-		t.Fatalf("governed update run did not complete: %+v", rep)
-	}
-	if !reflect.DeepEqual(rep.OfferedPerVN, rep.DeliveredPerVN) {
-		t.Errorf("hitless contract broken under governor: offered %v delivered %v",
-			rep.OfferedPerVN, rep.DeliveredPerVN)
-	}
-	if rep.BatchesApplied != cfg.Batches {
-		t.Errorf("applied %d of %d batches under governor", rep.BatchesApplied, cfg.Batches)
-	}
-	if rep.Mismatches != 0 {
-		t.Errorf("%d oracle mismatches", rep.Mismatches)
-	}
-}
-
-// TestGovernedFaultRunRidesOutScrubSpike: a governed fault run treats scrub
+// TestGovernedFaultRunRidesOutScrubSpike: a governed fault preset treats scrub
 // reloads as transient power spikes (config-port power pinned to full) and
 // still recovers the injected faults; governed drops are charged to the
 // per-VN report counters deterministically.
@@ -188,20 +132,15 @@ func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	cap := capBelowSteady(s, 1.0/3, 0.6)
 	s.SetGovernor(&governor.Config{CapWatts: cap})
 	defer s.SetGovernor(nil)
-	rep, err := s.RunFaults(faultGen(t, s, 43), cycles, FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 3, cycles)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := runSpec(t, s, 43, "load=const:%s,faults=seu:%g,seed=7,cycles=%d", oneIn(3), seuRateFor(s, 3, cycles), cycles)
 	if rep.Governor == nil {
 		t.Fatal("governed run returned no governor report")
 	}
 	if rep.Governor.Oscillations != 0 {
 		t.Errorf("%d oscillations", rep.Governor.Oscillations)
 	}
-	if rep.HealthyMismatches != 0 {
-		t.Errorf("healthy mismatches = %d, want 0", rep.HealthyMismatches)
+	if rep.Mismatches != 0 {
+		t.Errorf("oracle mismatches = %d, want 0", rep.Mismatches)
 	}
 	if !rep.Recovered {
 		t.Errorf("governed fault run did not recover: %+v", rep)
@@ -222,71 +161,46 @@ func TestGovernedFaultRunRidesOutScrubSpike(t *testing.T) {
 	}
 }
 
-// TestGovernedRunsDeterministicAcrossWorkers: all three governed harnesses
-// must produce byte-identical telemetry dumps and DeepEqual reports at -j1
-// and -j8 — the governor decides only on the coordinating goroutine.
+// TestGovernedRunsDeterministicAcrossWorkers: the governed load, fault and
+// churn presets must produce byte-identical telemetry dumps and DeepEqual
+// reports at -j1 and -j8 — the governor decides only on the coordinating
+// goroutine. Subtests keep the names of the entry points the presets
+// replaced.
 func TestGovernedRunsDeterministicAcrossWorkers(t *testing.T) {
-	t.Run("LoadTest", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		cap := capBelowSteady(s, 0.9, 0.4)
-		s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 16 * 1024})
-		defer s.SetGovernor(nil)
-		var reps []*LoadReport
-		runDumps(t, "LoadTest/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.LoadTest(faultGen(t, s, 31), 0.9, 32*1024, 64)
-			if err != nil {
-				t.Fatal(err)
+	cases := []struct {
+		name string
+		gov  func(s *System) *governor.Config
+		spec func(s *System) string
+		seed int64
+	}{
+		{"LoadTest", func(s *System) *governor.Config {
+			return &governor.Config{CapWatts: capBelowSteady(s, 0.9, 0.4), LiftCycle: 16 * 1024}
+		}, func(*System) string { return "load=const:0.9,queue=64,cycles=32768" }, 31},
+		{"RunFaults", func(s *System) *governor.Config {
+			return &governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.5)}
+		}, func(s *System) string {
+			return fmt.Sprintf("load=const:%s,faults=seu:%g,seed=5,cycles=16384", oneIn(3), seuRateFor(s, 3, 16*1024))
+		}, 29},
+		{"RunUpdates", func(s *System) *governor.Config {
+			return &governor.Config{CapWatts: capBelowSteady(s, 1.0/3, 0.5), LiftCycle: 8 * 1024}
+		}, func(*System) string { return "load=const:" + oneIn(3) + ",churn=4x64,seed=1,cycles=16384" }, 23},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, _ := buildSystem(t, core.VS, 3)
+			s.SetGovernor(c.gov(s))
+			defer s.SetGovernor(nil)
+			var reps []ScenarioReport
+			runDumps(t, c.name+"/governed", func(tel *Telemetry) {
+				s.SetTelemetry(tel)
+				defer s.SetTelemetry(nil)
+				reps = append(reps, runSpec(t, s, c.seed, "%s", c.spec(s)))
+			})
+			if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
+				t.Errorf("governed %s reports differ between -j1 and -j8:\n%+v\n%+v", c.name, reps[0], reps[1])
 			}
-			reps = append(reps, &rep)
 		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed LoadTest reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
-	t.Run("RunFaults", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		const cycles = 16 * 1024
-		cap := capBelowSteady(s, 1.0/3, 0.5)
-		s.SetGovernor(&governor.Config{CapWatts: cap})
-		defer s.SetGovernor(nil)
-		cfg := FaultConfig{Inject: faults.Config{Seed: 5, SEURate: seuRateFor(s, 3, cycles)}}
-		var reps []*FaultReport
-		runDumps(t, "RunFaults/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, &rep)
-		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed RunFaults reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
-	t.Run("RunUpdates", func(t *testing.T) {
-		s, _ := buildSystem(t, core.VS, 3)
-		cap := capBelowSteady(s, 1.0/3, 0.5)
-		s.SetGovernor(&governor.Config{CapWatts: cap, LiftCycle: 8 * 1024})
-		defer s.SetGovernor(nil)
-		cfg := DefaultUpdateConfig()
-		cfg.MaxDrainSlices = 400
-		var reps []*UpdateReport
-		runDumps(t, "RunUpdates/governed", func(tel *Telemetry) {
-			s.SetTelemetry(tel)
-			defer s.SetTelemetry(nil)
-			rep, err := s.RunUpdates(faultGen(t, s, 23), 16*1024, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reps = append(reps, &rep)
-		})
-		if len(reps) == 2 && !reflect.DeepEqual(reps[0], reps[1]) {
-			t.Errorf("governed RunUpdates reports differ between -j1 and -j8:\n%+v\n%+v", reps[0], reps[1])
-		}
-	})
+	}
 }
 
 // TestAssessPowerFlagsBatchRuns: Forward has no slice clock, so the governor

@@ -4,12 +4,15 @@
 // result is cross-checked against the per-network reference tables. It is
 // the correctness harness tying the whole system together.
 //
-// Every harness — Forward, LoadTest, RunFaults, RunUpdates, and the
-// composable RunScenario — is a thin configuration of the slice-quantized
-// engine in internal/scenario: the engine owns the coordinator loop,
-// telemetry threading and governor actuation; the harnesses supply kernels
-// (how a slice's cycles execute) and stressors (faults, churn) through the
-// engine's hook interface.
+// Two runners drive a router, both configurations of the slice-quantized
+// engine in internal/scenario: Forward (with its frame-level twin
+// ForwardFrames) resolves one closed batch of packets on the batched lookup
+// core, and RunScenario drives open-loop traffic through time under any
+// composition of load shape, SEU faults, an engine kill, hitless churn,
+// control-plane chaos, a power cap or a device fleet. The engine owns the
+// coordinator loop, telemetry threading and governor actuation; the runners
+// supply kernels (how a slice's cycles execute) and stressors (faults,
+// churn, chaos) through the engine's hook interface.
 package netsim
 
 import (
@@ -51,7 +54,7 @@ type System struct {
 	// ungoverned.
 	gov *governor.Config
 	// emodel is the per-event energy cost table derived from the router's
-	// power design; every harness meters against it.
+	// power design; every runner meters against it.
 	emodel *energy.Model
 }
 
@@ -380,247 +383,4 @@ func (s *System) ForwardFrames(frames [][]byte) (FrameReport, error) {
 	}
 	obsFramesForwarded.Add(int64(rep.Forwarded))
 	return rep, nil
-}
-
-// LoadReport summarises an open-loop offered-load run (the paper's merged
-// scalability limitation, Section IV-C: "the throughput is shared among the
-// virtual networks ... the lookup engine may fail to sustain the required
-// throughput").
-type LoadReport struct {
-	// Offered and Delivered are per-VN packet counts.
-	Offered   []int64
-	Delivered []int64
-	// Dropped counts arrivals lost to full input queues, per VN.
-	Dropped []int64
-	// MeanDelayCycles is the average arrival-to-exit latency over all
-	// delivered packets.
-	MeanDelayCycles float64
-	Cycles          int64
-	// Governor is the power-envelope controller's summary when the run was
-	// governed (SetGovernor); nil otherwise.
-	Governor *governor.Report
-	// Energy is the run's attributed energy breakdown.
-	Energy *energy.Report
-}
-
-// DeliveredFraction returns delivered/offered over all networks.
-func (r LoadReport) DeliveredFraction() float64 {
-	var off, del int64
-	for i := range r.Offered {
-		off += r.Offered[i]
-		del += r.Delivered[i]
-	}
-	if off == 0 {
-		return 1
-	}
-	return float64(del) / float64(off)
-}
-
-// queued is one packet waiting at an engine's input.
-type queued struct {
-	req     pipeline.Request
-	vn      int
-	arrival int64
-	// seq is the packet's deterministic trace key (cyc*K + vn).
-	seq int64
-}
-
-// loadSliceCycles is LoadTest's telemetry quantum: one time-series row per
-// this many cycles (matching the fault/update harnesses' default slice).
-const loadSliceCycles = 1024
-
-// loadKernel is the coupled sequential kernel behind LoadTest: per-VN
-// Bernoulli arrivals share one generator stream whose draw count depends on
-// queue state, so the whole cycle loop runs on the coordinator — no
-// fan-out, trivially deterministic at any -j.
-type loadKernel struct {
-	s         *System
-	gen       *traffic.Generator
-	perVNLoad float64
-	queueCap  int
-	scheme    core.Scheme
-	sims      []*pipeline.Sim
-	queues    [][]queued
-	exitVN    [][]queued // FIFO of in-flight metadata per engine
-	rrNext    []int      // round-robin pointer per engine
-	gv        *scenario.GovRun
-	meter     *energy.Meter
-	rep       LoadReport
-	delaySum  float64
-	delivered int64
-	// Per-window telemetry cursors: per-engine utilization deltas.
-	utilCur [][2]int64 // {activeSum, cycles} per engine
-	utils   []float64
-}
-
-func (k *loadKernel) Outstanding() bool { return false }
-
-func (k *loadKernel) RunSlice(b, n int64, _ bool) (scenario.SliceStats, error) {
-	s, gen, gv := k.s, k.gen, k.gv
-	var winDelivered int64
-	for cyc := b; cyc < b+n; cyc++ {
-		// Arrivals.
-		for vn := 0; vn < s.k; vn++ {
-			if !gen.Bernoulli(k.perVNLoad) {
-				continue
-			}
-			k.rep.Offered[vn]++
-			if gv != nil && gv.AdmitArrival(vn, s.engineOf(vn)) {
-				k.rep.Dropped[vn]++
-				continue
-			}
-			if len(k.queues[vn]) >= k.queueCap {
-				k.rep.Dropped[vn]++
-				continue
-			}
-			p := gen.NextFor(vn)
-			reqVN := 0
-			if k.scheme == core.VM {
-				reqVN = vn
-			}
-			q := queued{
-				req:     pipeline.Request{Addr: p.Addr, VN: reqVN},
-				vn:      vn,
-				arrival: cyc,
-				seq:     cyc*int64(s.k) + int64(vn),
-			}
-			if s.tel.Tracing() {
-				q.req.Trace = s.tel.Sampler.Sample(vn, q.seq)
-			}
-			k.queues[vn] = append(k.queues[vn], q)
-		}
-		// Service: one injection per engine per cycle, round-robin over
-		// the engine's ingress queues. A governed engine that loses this
-		// cycle to frequency stepping or quiescing freezes: no injection,
-		// and in-flight packets stall in place.
-		for e := range k.sims {
-			if gv != nil && !gv.EngineServes(e) {
-				continue
-			}
-			var req *pipeline.Request
-			for i := 0; i < s.k; i++ {
-				vn := (k.rrNext[e] + i) % s.k
-				if s.engineOf(vn) != e || len(k.queues[vn]) == 0 {
-					continue
-				}
-				q := k.queues[vn][0]
-				k.queues[vn] = k.queues[vn][1:]
-				req = &q.req
-				k.exitVN[e] = append(k.exitVN[e], q)
-				k.rrNext[e] = (vn + 1) % s.k
-				break
-			}
-			res, done := k.sims[e].Inject(req)
-			if done {
-				meta := k.exitVN[e][0]
-				k.exitVN[e] = k.exitVN[e][1:]
-				k.meter.Lookup(e, meta.vn, res.LastStage)
-				k.rep.Delivered[meta.vn]++
-				winDelivered++
-				k.delaySum += float64(cyc - meta.arrival)
-				if meta.req.Trace {
-					outcome := "forward"
-					if res.NHI == ip.NoRoute {
-						outcome = "noroute"
-					}
-					s.tel.PutLookupTrace(meta.seq, meta.vn, e, 0, res, res.EnterCycle-meta.arrival, outcome)
-				}
-			}
-		}
-	}
-	k.delivered += winDelivered
-	backlog := 0
-	for vn := range k.queues {
-		backlog += len(k.queues[vn])
-	}
-	for e := range k.sims {
-		k.utils[e], k.utilCur[e][0], k.utilCur[e][1] = scenario.UtilDelta(k.sims[e].Stats(), k.utilCur[e][0], k.utilCur[e][1])
-	}
-	return scenario.SliceStats{Util: k.utils, Delivered: winDelivered, Backlog: backlog}, nil
-}
-
-// LoadTest drives the router open-loop for the given number of cycles:
-// every cycle, each virtual network independently offers a packet with
-// probability perVNLoad (a Bernoulli arrival at that fraction of line
-// rate). Arrivals wait in per-network ingress queues of queueCap packets;
-// each engine accepts one packet per cycle, arbitrating its queues round-
-// robin (the merged engine serves all K, so it saturates — fairly — once
-// K·perVNLoad exceeds 1; the separate scheme gives every network its own
-// engine with per-VN capacity 1).
-func (s *System) LoadTest(gen *traffic.Generator, perVNLoad float64, cycles int64, queueCap int) (LoadReport, error) {
-	if perVNLoad < 0 || perVNLoad > 1 {
-		return LoadReport{}, fmt.Errorf("netsim: per-VN load %g outside [0,1]", perVNLoad)
-	}
-	if queueCap < 1 {
-		return LoadReport{}, fmt.Errorf("netsim: queue capacity %d, want >= 1", queueCap)
-	}
-	images := s.router.Images()
-	gv, err := s.newGovRun()
-	if err != nil {
-		return LoadReport{}, err
-	}
-	k := &loadKernel{
-		s:         s,
-		gen:       gen,
-		perVNLoad: perVNLoad,
-		queueCap:  queueCap,
-		scheme:    s.router.Config().Scheme,
-		sims:      make([]*pipeline.Sim, len(images)),
-		queues:    make([][]queued, s.k),
-		exitVN:    make([][]queued, len(images)),
-		rrNext:    make([]int, len(images)),
-		gv:        gv,
-		meter:     s.meter(),
-		utilCur:   make([][2]int64, len(images)),
-		utils:     make([]float64, len(images)),
-		rep: LoadReport{
-			Offered:   make([]int64, s.k),
-			Delivered: make([]int64, s.k),
-			Dropped:   make([]int64, s.k),
-			Cycles:    cycles,
-		},
-	}
-	for e := range images {
-		k.sims[e] = pipeline.NewSim(images[e])
-	}
-	// The cycle loop runs on the coordinator, so the run meter can feed the
-	// per-lookup energy histogram without touching any worker hot path.
-	k.meter.ObserveHist = true
-	if cycles <= 0 {
-		// Degenerate zero-cycle run: an initialised (empty) series and an
-		// untouched report, as the pre-engine loop produced.
-		s.tel.InitSeries(s.k)
-		if gv != nil {
-			k.rep.Governor = gv.Report()
-		}
-		if er, err := k.meter.Report(0); err == nil {
-			k.rep.Energy = er
-		}
-		return k.rep, nil
-	}
-	eng := s.engine()
-	eng.Cycles = cycles
-	eng.SliceCycles = loadSliceCycles
-	eng.Truncate = true
-	eng.Gov = gv
-	eng.Kernel = k
-	eng.Energy = k.meter
-	if err := eng.Run(); err != nil {
-		return LoadReport{}, err
-	}
-	if k.delivered > 0 {
-		k.rep.MeanDelayCycles = k.delaySum / float64(k.delivered)
-	}
-	if gv != nil {
-		k.rep.Governor = gv.Report()
-	}
-	er, err := k.meter.Report(deliveredBits(k.delivered))
-	if err != nil {
-		return LoadReport{}, err
-	}
-	k.rep.Energy = er
-	er.Publish()
-	obsLoadCycles.Add(cycles)
-	obsPacketsResolved.Add(k.delivered)
-	return k.rep, nil
 }

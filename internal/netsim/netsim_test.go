@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"vrpower/internal/core"
 	"vrpower/internal/packet"
 	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
 	"vrpower/internal/traffic"
 )
 
@@ -238,20 +240,18 @@ func TestForwardFramesDropCauses(t *testing.T) {
 	}
 }
 
+// TestLoadTestValidation: the -load preset's bad inputs are spec errors, and
+// a hand-built spec the parser never saw still fails cleanly at run time.
 func TestLoadTestValidation(t *testing.T) {
-	s, tables := buildSystem(t, core.VS, 2)
-	g, err := traffic.New(traffic.Config{K: 2, Seed: 31, Addr: traffic.RoutedAddr, Tables: tables})
-	if err != nil {
-		t.Fatal(err)
+	for _, bad := range []string{"load=const:-0.1", "load=const:1.5", "load=const:0.5,queue=0"} {
+		if _, err := scenario.Parse(bad); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
-	if _, err := s.LoadTest(g, -0.1, 100, 16); err == nil {
-		t.Error("negative load accepted")
-	}
-	if _, err := s.LoadTest(g, 1.5, 100, 16); err == nil {
-		t.Error("load > 1 accepted")
-	}
-	if _, err := s.LoadTest(g, 0.5, 100, 0); err == nil {
-		t.Error("zero queue accepted")
+	s, _ := buildSystem(t, core.VS, 2)
+	spec := scenario.Spec{Load: scenario.LoadShape{Kind: scenario.LoadConst, P0: 0.5}, Slice: 1024, Queue: 16}
+	if _, err := s.RunScenario(faultGen(t, s, 31), spec); err == nil {
+		t.Error("zero-cycle run accepted")
 	}
 }
 
@@ -264,7 +264,7 @@ func TestLoadSharingLimitation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(sc core.Scheme, load float64) netsimLoadReport {
+	run := func(sc core.Scheme, load float64) *ScenarioReport {
 		r, err := core.Build(core.Config{Scheme: sc, K: k, ClockGating: true}, set.Tables)
 		if err != nil {
 			t.Fatal(err)
@@ -277,11 +277,12 @@ func TestLoadSharingLimitation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := sys.LoadTest(g, load, 20000, 64)
+		rep, err := sys.RunScenario(g, mustParse(t, fmt.Sprintf("load=const:%g,queue=64,cycles=20000", load)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		checkConservation(t, rep)
+		return &rep
 	}
 
 	// Light load (10% per VN -> 40% aggregate): both deliver ~everything.
@@ -305,7 +306,7 @@ func TestLoadSharingLimitation(t *testing.T) {
 		t.Errorf("VM at heavy load delivered %.3f, want ≈ 1/(K·load) = 0.42", fVM)
 	}
 	var drops int64
-	for _, d := range heavyVM.Dropped {
+	for _, d := range heavyVM.DroppedPerVN {
 		drops += d
 	}
 	if drops == 0 {
@@ -316,9 +317,6 @@ func TestLoadSharingLimitation(t *testing.T) {
 		t.Errorf("VM saturation delay %.1f not well above light-load delay", heavyVM.MeanDelayCycles)
 	}
 }
-
-// netsimLoadReport aliases the report type for the helper above.
-type netsimLoadReport = LoadReport
 
 // TestLoadTestFairSaturation: the merged engine's round-robin ingress must
 // split its capacity evenly across networks when all are overloaded.
@@ -340,12 +338,13 @@ func TestLoadTestFairSaturation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.LoadTest(g, 0.8, 20000, 32)
+	rep, err := sys.RunScenario(g, mustParse(t, "load=const:0.8,queue=32,cycles=20000"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConservation(t, rep)
 	var min, max int64 = 1 << 62, 0
-	for _, d := range rep.Delivered {
+	for _, d := range rep.DeliveredPerVN {
 		if d < min {
 			min = d
 		}

@@ -3,11 +3,12 @@ package netsim
 // This file is the composable scenario runner behind cmd/lookupsim
 // -scenario: one engine-driven run in which a shaped offered load, SEU/kill
 // fault injection, hitless update churn and a power cap all act on the same
-// router at the same time. Each adversity source is a scenario.Stressor
-// over shared run state — faults registered before churn, so a scrub
-// decision at a boundary is visible to the same boundary's arm decision —
-// and the kernel is a sequential per-cycle loop in the LoadTest mould:
-// per-network Bernoulli arrivals (probability from the load shape) wait in
+// router at the same time. It is the only slice-driven runner on a single
+// device: a load-only, faults-only or churn-only run is just a spec with
+// one stressor. Each adversity source is a scenario.Stressor over shared
+// run state — faults registered before churn, so a scrub decision at a
+// boundary is visible to the same boundary's arm decision — and the kernel
+// is a sequential per-cycle loop: per-network Bernoulli arrivals (probability from the load shape) wait in
 // bounded ingress queues, each engine injects one packet per cycle into a
 // persistent parity-checking simulator, and every exit is checked against
 // the reference table of its injection epoch. Because arrivals share one
@@ -26,8 +27,7 @@ package netsim
 //     (the reload would clobber its shadow writes); a batch aimed at a
 //     dead engine is aborted too, so the run always terminates.
 //   - The governor acts at the arrival/service grain (admission drops,
-//     frequency-paced service, quiescing) exactly as in LoadTest; a
-//     reloading engine's utilization is pinned by the reload flags it
+//     frequency-paced service, quiescing); a reloading engine's utilization is pinned by the reload flags it
 //     reports, so caps and scrubs interact the way the governor expects.
 
 import (
@@ -46,8 +46,39 @@ import (
 	"vrpower/internal/update"
 )
 
-// ScenarioReport summarises a composed run: the union of the per-harness
-// report surfaces over one shared packet accounting.
+// Update instrumentation (surfaced by cmd/lookupsim -stats).
+var (
+	obsUpdateBatches = obs.NewCounter("netsim.update_batches")
+	obsUpdateWrites  = obs.NewCounter("netsim.update_writes")
+	obsUpdateBubbles = obs.NewCounter("netsim.update_bubbles")
+)
+
+// UpdateBatch is one applied churn batch's lifecycle.
+type UpdateBatch struct {
+	// VN is the updated network; Engine the pipeline it rewrote (the
+	// network's own for VS, the shared engine 0 for VM).
+	VN     int
+	Engine int
+	// RawOps is the generated batch size; CoalescedOps what survived
+	// last-op-wins coalescing and was actually diffed.
+	RawOps       int
+	CoalescedOps int
+	// Writes is the image-diff word count; Bubbles the write-bubble budget
+	// spent installing it.
+	Writes  int
+	Bubbles int
+	// ArmedAt is the cycle the batch entered the data plane; DoneAt the
+	// cycle its commit bubble left the last stage. Their difference is the
+	// update latency under load.
+	ArmedAt int64
+	DoneAt  int64
+}
+
+// LatencyCycles is the arm-to-commit update latency.
+func (b UpdateBatch) LatencyCycles() int64 { return b.DoneAt - b.ArmedAt }
+
+// ScenarioReport summarises a composed run: the load, fault, churn, chaos,
+// fleet and governor sections over one shared packet accounting.
 type ScenarioReport struct {
 	// Spec is the scenario string the run was built from; Stressors the
 	// active stressor names.
@@ -158,6 +189,23 @@ func (r *ScenarioReport) RepairedSEUs() int {
 	return n
 }
 
+// MTTRCycles returns the mean repair latency (injection to reload complete)
+// over repaired upsets, in cycles; 0 when nothing was repaired.
+func (r *ScenarioReport) MTTRCycles() float64 {
+	var sum float64
+	n := 0
+	for i := range r.SEUs {
+		if r.SEUs[i].RepairedAt >= 0 {
+			sum += float64(r.SEUs[i].RepairedAt - r.SEUs[i].Cycle)
+			n++
+		}
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // MeanUpdateLatencyCycles is the average arm-to-commit latency over applied
 // batches; 0 when none committed.
 func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
@@ -169,6 +217,15 @@ func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
 		sum += float64(b.LatencyCycles())
 	}
 	return sum / float64(len(r.Batches))
+}
+
+// queued is one packet waiting at an ingress queue.
+type queued struct {
+	req     pipeline.Request
+	vn      int
+	arrival int64
+	// seq is the packet's deterministic trace key (cyc*K + vn).
+	seq int64
 }
 
 // scenExit is one in-flight lookup's metadata: the network, the arrival
@@ -183,8 +240,8 @@ type scenExit struct {
 }
 
 // scenEng is one engine's composed-run state: a persistent parity-checking
-// simulator, the fault lifecycle (reusing the fault harness's engState over
-// the serving image), the armed-update lifecycle, and the in-flight FIFO.
+// simulator, the fault lifecycle (engState over the serving image), the
+// armed-update lifecycle, and the in-flight FIFO.
 type scenEng struct {
 	sim *pipeline.Sim
 	// fs is the fault lifecycle over the serving image (down/dead flags,
@@ -194,7 +251,9 @@ type scenEng struct {
 	exit []scenExit
 	// rrNext is the engine's round-robin pointer over its ingress queues.
 	rrNext int
-	// Armed hitless update, as in the update harness.
+	// Armed hitless update: the handle to commit, the post-update oracle to
+	// swap in at the commit bubble, and the report record under
+	// construction.
 	handle *ctrl.HitlessUpdate
 	newRef *ip.Table
 	refVN  int
@@ -215,7 +274,7 @@ type scenRun struct {
 
 	engines []*scenEng
 	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
-	// current-epoch oracle (flipped by commit bubbles, as in RunUpdates).
+	// current-epoch oracle (flipped when a commit bubble enters).
 	queues [][]queued
 	refs   []*ip.Table
 
@@ -316,8 +375,10 @@ func (r *scenRun) abortUpdate(e *scenEng, b int64) error {
 
 // ---- fault stressor -------------------------------------------------------
 
-// scenFaults is the composed run's fault stressor: the fault harness's
-// boundary/pre-slice protocol acting on the shared scenRun state.
+// scenFaults is the composed run's fault stressor: at each boundary it lands
+// finished reloads and turns detection flags into scrubs; before each slice
+// it applies the kill, injects the slice's upsets and advances the
+// background readback sweep.
 type scenFaults struct {
 	scenario.NopStressor
 	r *scenRun
@@ -497,8 +558,10 @@ func (f scenFaults) Outstanding() bool {
 
 // ---- churn stressor -------------------------------------------------------
 
-// scenChurn is the composed run's update stressor: the hitless-update
-// harness's commit-then-arm boundary protocol acting on the shared state.
+// scenChurn is the composed run's update stressor: at each boundary it
+// commits a finished batch, then arms the next (update.Churn →
+// ctrl.BeginHitlessUpdate → pipeline.Sim.BeginUpdate), one batch in flight
+// at a time.
 // It runs after the fault stressor's boundary, so it never arms an update
 // on an engine that just went down.
 type scenChurn struct {
@@ -611,8 +674,8 @@ func (r *scenRun) Outstanding() bool {
 
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // ingress queues (live slices only), then one service step per engine per
-// cycle — bubbles first, queued lookups second, exactly the per-harness
-// semantics — all sequentially on the coordinator.
+// cycle — bubbles first, queued lookups second — all sequentially on the
+// coordinator.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 	s, gen, gv, rep := r.s, r.gen, r.gv, r.rep
 	tel := s.tel
@@ -833,7 +896,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 
 	// The serving images: the control plane's pinned compilation when churn
 	// is active (successive recompilations diff word-for-word), clones of
-	// the router's build images otherwise (the fault harness's model).
+	// the router's build images otherwise.
 	var images []*pipeline.Image
 	if spec.Churn != nil {
 		mgr, err := ctrl.New(s.router.Config(), s.tables)
@@ -881,7 +944,7 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 		stressors = append(stressors, scenChaos{r: r})
 	}
 	if spec.SEURate > 0 || spec.Kill != nil {
-		fc := faults.Config{Seed: spec.Seed, SEURate: spec.SEURate}
+		fc := faults.Config{Seed: spec.Seed, SEURate: spec.SEURate, ReconfigFailures: spec.ReconfigFailures}
 		if spec.Kill != nil {
 			fc.Kill = true
 			fc.KillEngine = spec.Kill.Engine

@@ -6,6 +6,8 @@ package netsim
 // cannot run on the system.
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -23,6 +25,45 @@ func mustParse(t *testing.T, spec string) scenario.Spec {
 	return s
 }
 
+// oneIn is the per-network load that offers one packet per cycle in total
+// across k networks, rendered for a spec (load=const:1/K).
+func oneIn(k int) string { return strconv.FormatFloat(1/float64(k), 'g', -1, 64) }
+
+// checkConservation asserts per-network packet conservation on a run that
+// completed with every engine back in service: each offered packet was
+// delivered, dropped or counted as an oracle mismatch. A run that ends with
+// a dead engine strands that engine's queued packets, so it is exempt.
+func checkConservation(t *testing.T, rep ScenarioReport) {
+	t.Helper()
+	if !rep.Completed || !rep.Recovered {
+		return
+	}
+	var gap int64
+	for vn := range rep.OfferedPerVN {
+		d := rep.OfferedPerVN[vn] - rep.DeliveredPerVN[vn] - rep.DroppedPerVN[vn]
+		if d < 0 {
+			t.Errorf("VN %d: delivered %d + dropped %d > offered %d",
+				vn, rep.DeliveredPerVN[vn], rep.DroppedPerVN[vn], rep.OfferedPerVN[vn])
+		}
+		gap += d
+	}
+	if gap != rep.Mismatches {
+		t.Errorf("%d offered packets neither delivered nor dropped, %d mismatches", gap, rep.Mismatches)
+	}
+}
+
+// runSpec runs the formatted spec on s with traffic from generator seed
+// gseed, failing on a run error and on broken conservation.
+func runSpec(t *testing.T, s *System, gseed int64, format string, args ...any) ScenarioReport {
+	t.Helper()
+	rep, err := s.RunScenario(faultGen(t, s, gseed), mustParse(t, fmt.Sprintf(format, args...)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	return rep
+}
+
 // runScenario runs one spec at the given worker count with a fresh system
 // and telemetry, returning the report and the three telemetry dumps.
 func runScenario(t *testing.T, sch core.Scheme, k int, spec scenario.Spec, workers int) (ScenarioReport, [3]string) {
@@ -36,6 +77,7 @@ func runScenario(t *testing.T, sch core.Scheme, k int, spec scenario.Spec, worke
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkConservation(t, rep)
 	tr, se, ev := dumps(t, tel)
 	return rep, [3]string{tr, se, ev}
 }

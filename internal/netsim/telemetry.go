@@ -2,7 +2,7 @@ package netsim
 
 // Telemetry attachment. The plumbing itself — the bundle type, trace/series
 // helpers, the unified slice-row schema, the power/throughput conversions —
-// lives in internal/scenario and is shared by every harness through the
+// lives in internal/scenario and is shared by every runner through the
 // scenario engine; this file keeps only the System-level attachment surface.
 
 import (

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
-	"vrpower/internal/faults"
 	"vrpower/internal/obs"
 	"vrpower/internal/sweep"
 )
@@ -97,18 +96,11 @@ func TestForwardTelemetryDeterministicAcrossWorkers(t *testing.T) {
 func TestFaultRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles = 8 * 1024
-	cfg := FaultConfig{
-		Inject: faults.Config{
-			Seed: 5, SEURate: seuRateFor(s, 3, cycles),
-			Kill: true, KillEngine: 0, KillCycle: 2000,
-		},
-	}
-	traces, series, events := runDumps(t, "RunFaults", func(tel *Telemetry) {
+	traces, series, events := runDumps(t, "faults preset", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg); err != nil {
-			t.Fatal(err)
-		}
+		runSpec(t, s, 29, "load=const:%s,faults=seu:%g,kill=0@2000,seed=5,cycles=%d",
+			oneIn(3), seuRateFor(s, 3, cycles), cycles)
 	})
 	if traces == "" || series == "" || events == "" {
 		t.Fatalf("fault run left a sink empty: traces=%d series=%d events=%d bytes",
@@ -131,13 +123,10 @@ func TestFaultRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 func TestUpdateRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	cfg := DefaultUpdateConfig()
-	traces, series, events := runDumps(t, "RunUpdates", func(tel *Telemetry) {
+	traces, series, events := runDumps(t, "churn preset", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.RunUpdates(faultGen(t, s, 23), 8*1024, cfg); err != nil {
-			t.Fatal(err)
-		}
+		runSpec(t, s, 23, "load=const:%s,churn=4x64,seed=1,cycles=8192", oneIn(3))
 	})
 	if traces == "" || series == "" || events == "" {
 		t.Fatalf("update run left a sink empty: traces=%d series=%d events=%d bytes",
@@ -152,38 +141,35 @@ func TestUpdateRunTelemetryDeterministicAcrossWorkers(t *testing.T) {
 
 func TestLoadTestTelemetryDeterministicAcrossWorkers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
-	_, series, _ := runDumps(t, "LoadTest", func(tel *Telemetry) {
+	var slice int64
+	_, series, _ := runDumps(t, "load preset", func(tel *Telemetry) {
 		s.SetTelemetry(tel)
 		defer s.SetTelemetry(nil)
-		if _, err := s.LoadTest(faultGen(t, s, 41), 0.8, 4096, 64); err != nil {
-			t.Fatal(err)
-		}
+		slice = runSpec(t, s, 41, "load=const:0.8,queue=64,cycles=4096").SliceCycles
 	})
-	if strings.Count(series, "\n") < 1+4096/loadSliceCycles {
+	if strings.Count(series, "\n") < 1+int(4096/slice) {
 		t.Errorf("load test recorded too few series rows:\n%s", series)
 	}
 }
 
 // TestTelemetryDoesNotChangeReports: instrumentation must never change
-// behaviour — the fault report with a full bundle attached equals the
+// behaviour — the report of a run with a full bundle attached equals the
 // report of a bare run.
 func TestTelemetryDoesNotChangeReports(t *testing.T) {
-	s, _ := buildSystem(t, core.VM, 3)
-	const cycles = 8 * 1024
-	cfg := FaultConfig{
-		Inject: faults.Config{Seed: 7, SEURate: seuRateFor(s, 2, cycles)},
-	}
-	bare, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetTelemetry(testTelemetry(0.1, 3))
-	defer s.SetTelemetry(nil)
-	observed, err := s.RunFaults(faultGen(t, s, 29), cycles, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bare, observed) {
-		t.Errorf("attaching telemetry changed the fault report:\nbare:     %+v\nobserved: %+v", bare, observed)
+	for _, c := range []struct {
+		scheme core.Scheme
+		spec   string
+	}{
+		{core.VM, "load=const:" + oneIn(3) + ",churn=4x64,seed=7,cycles=8192"},
+	} {
+		s, _ := buildSystem(t, c.scheme, 3)
+		bare := runSpec(t, s, 29, "%s", c.spec)
+		s.SetTelemetry(testTelemetry(0.1, 3))
+		observed := runSpec(t, s, 29, "%s", c.spec)
+		s.SetTelemetry(nil)
+		if !reflect.DeepEqual(bare, observed) {
+			t.Errorf("%s %s: attaching telemetry changed the report:\nbare:     %+v\nobserved: %+v",
+				c.scheme, c.spec, bare, observed)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"vrpower/internal/governor"
 	"vrpower/internal/obs"
 )
 
@@ -160,18 +159,10 @@ func TestEngineStressorErrorNamesStressor(t *testing.T) {
 	}
 }
 
-// decisionKernel records ApplyDecision pushes.
-type decisionKernel struct {
-	logKernel
-	applied int
-}
-
-func (k *decisionKernel) ApplyDecision(governor.Decision) { k.applied++ }
-
 func TestEngineSeriesAndGovernor(t *testing.T) {
 	tel := &Telemetry{Series: obs.NewTimeSeries()}
 	var log []string
-	k := &decisionKernel{logKernel: logKernel{log: &log, stats: SliceStats{Util: []float64{0.5}}}}
+	k := &logKernel{log: &log, stats: SliceStats{Util: []float64{0.5}}}
 	e := Engine{
 		Cycles: 2048, SliceCycles: 1024, K: 2, Tel: tel,
 		Kernel: k,
@@ -184,8 +175,5 @@ func TestEngineSeriesAndGovernor(t *testing.T) {
 	}
 	if cols := tel.Series.Columns(); len(cols) != len(SeriesColumns(2)) {
 		t.Fatalf("series columns %v, want the unified schema %v", cols, SeriesColumns(2))
-	}
-	if k.applied != 0 {
-		t.Fatal("ApplyDecision called on an ungoverned run")
 	}
 }

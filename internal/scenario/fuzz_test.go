@@ -40,6 +40,8 @@ func FuzzParse(f *testing.F) {
 		"fleet=2,chaos=devcrash:3",
 		"fleet=2,faults=seu:1e-9",
 		"chaos=devcrash:1",
+		"kill=0@100,reconfig-fail=3",
+		"reconfig-fail=1",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -63,6 +65,9 @@ func FuzzParse(f *testing.F) {
 		}
 		if s.Kill != nil && (s.Kill.Engine < 0 || s.Kill.Cycle < 0 || s.Kill.Cycle >= s.Cycles) {
 			t.Fatalf("Parse(%q) accepted kill %+v with cycles %d", spec, s.Kill, s.Cycles)
+		}
+		if s.ReconfigFailures < 0 || (s.ReconfigFailures > 0 && s.SEURate <= 0 && s.Kill == nil) {
+			t.Fatalf("Parse(%q) accepted reconfig-fail=%d without a scrub carrier", spec, s.ReconfigFailures)
 		}
 		if s.Churn != nil && (s.Churn.Batches < 1 || s.Churn.Ops < 1) {
 			t.Fatalf("Parse(%q) accepted churn %+v", spec, s.Churn)
@@ -93,7 +98,7 @@ func FuzzParse(f *testing.F) {
 					t.Fatalf("Parse(%q) accepted %d crashes over %d devices", spec, s.Chaos.DeviceCrashes, s.Fleet.Devices)
 				}
 			}
-			if s.SEURate > 0 || s.Kill != nil || s.Churn != nil {
+			if s.SEURate > 0 || s.Kill != nil || s.ReconfigFailures > 0 || s.Churn != nil {
 				t.Fatalf("Parse(%q) accepted single-device stressors on a fleet run: %+v", spec, s)
 			}
 		}

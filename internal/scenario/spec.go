@@ -8,6 +8,8 @@ package scenario
 //	load=saturate | const:P | surge[:P0:P1:START:LEN] | burst:P:PERIOD:DUTY | ramp:P0:P1
 //	faults=seu:RATE          SEU injection at RATE upsets per data bit-cycle
 //	kill=ENGINE@CYCLE        scheduled hard failure of one engine
+//	reconfig-fail=N          fail the first N scrub reloads mid-flight
+//	                         (needs faults= or kill=)
 //	churn=BATCHESxOPS[:vn=N] hitless route-update batches (round-robin, or pinned)
 //	chaos=KIND:N[+KIND:N..]  control-plane faults (crash, stall, torn, falsepos)
 //	                         or device-scale faults (devcrash, brownout, flaky)
@@ -22,8 +24,8 @@ package scenario
 // Every value is validated at parse time with a specific error naming the
 // offending key and value; a Spec that parses is runnable. fleet= composes
 // with load/chaos (device kinds)/power caps/dimensions only: the per-engine
-// stressors (faults=, kill=, churn=, control-plane chaos kinds) target a
-// single device's engines and are rejected alongside it.
+// stressors (faults=, kill=, reconfig-fail=, churn=, control-plane chaos
+// kinds) target a single device's engines and are rejected alongside it.
 
 import (
 	"fmt"
@@ -171,6 +173,9 @@ type Spec struct {
 	Churn   *ChurnSpec
 	Chaos   *ChaosSpec
 	Fleet   *FleetSpec
+	// ReconfigFailures fails the first N scrub reloads mid-flight, driving
+	// the scrubber's retry ladder (and, past its budget, a dead engine).
+	ReconfigFailures int
 	// CapW / DeviceCapW configure the power-envelope governor; both zero
 	// runs ungoverned (unless the harness has a governor attached).
 	CapW       float64
@@ -380,6 +385,13 @@ func Parse(spec string) (Spec, error) {
 				return s, fmt.Errorf("scenario: kill=%q: engine %d at cycle %d, want both >= 0", val, eng, cyc)
 			}
 			s.Kill = &KillSpec{Engine: int(eng), Cycle: cyc}
+		case "reconfig-fail":
+			var n int64
+			n, err = parseInt("reconfig-fail", val)
+			if err == nil && n < 1 {
+				return s, fmt.Errorf("scenario: reconfig-fail=%q: %d, want >= 1", val, n)
+			}
+			s.ReconfigFailures = int(n)
 		case "churn":
 			body, vnPart, hasVN := strings.Cut(val, ":")
 			b, o, found := strings.Cut(body, "x")
@@ -440,7 +452,7 @@ func Parse(spec string) (Spec, error) {
 		case "seed":
 			s.Seed, err = parseInt("seed", val)
 		default:
-			return s, fmt.Errorf("scenario: unknown key %q (value %q; want load, faults, kill, churn, chaos, fleet, power-cap, power-cap-device, cycles, slice, queue or seed)", key, val)
+			return s, fmt.Errorf("scenario: unknown key %q (value %q; want load, faults, kill, reconfig-fail, churn, chaos, fleet, power-cap, power-cap-device, cycles, slice, queue or seed)", key, val)
 		}
 		if err != nil {
 			return s, err
@@ -454,8 +466,8 @@ func Parse(spec string) (Spec, error) {
 		// stressors (which name one device's engines) cannot compose with
 		// them; reject at parse time rather than run as a silent no-op.
 		switch {
-		case s.SEURate > 0 || s.Kill != nil:
-			return s, fmt.Errorf("scenario: fleet=%d: faults=/kill= target a single device's engines and cannot compose with a fleet run", s.Fleet.Devices)
+		case s.SEURate > 0 || s.Kill != nil || s.ReconfigFailures > 0:
+			return s, fmt.Errorf("scenario: fleet=%d: faults=/kill=/reconfig-fail= target a single device's engines and cannot compose with a fleet run", s.Fleet.Devices)
 		case s.Churn != nil:
 			return s, fmt.Errorf("scenario: fleet=%d: churn= targets a single device's engines and cannot compose with a fleet run", s.Fleet.Devices)
 		}
@@ -465,6 +477,9 @@ func Parse(spec string) (Spec, error) {
 		if s.Chaos != nil && s.Chaos.DeviceCrashes > s.Fleet.Devices {
 			return s, fmt.Errorf("scenario: chaos devcrash:%d over fleet=%d devices, want distinct victims", s.Chaos.DeviceCrashes, s.Fleet.Devices)
 		}
+	}
+	if s.ReconfigFailures > 0 && s.SEURate <= 0 && s.Kill == nil {
+		return s, fmt.Errorf("scenario: reconfig-fail=%d needs faults= or kill= (it fails scrub reloads)", s.ReconfigFailures)
 	}
 	if s.Chaos != nil {
 		// Chaos faults ride other stressors' operations: crashes need

@@ -38,7 +38,7 @@ func TestParseFullCompoundSpec(t *testing.T) {
 }
 
 func TestParseEveryKey(t *testing.T) {
-	s, err := Parse("load=const:0.5,faults=seu:2e-8,kill=1@5000,churn=4x64:vn=2,power-cap=30,power-cap-device=12,cycles=16384,slice=512,queue=32,seed=7")
+	s, err := Parse("load=const:0.5,faults=seu:2e-8,kill=1@5000,reconfig-fail=3,churn=4x64:vn=2,power-cap=30,power-cap-device=12,cycles=16384,slice=512,queue=32,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +47,9 @@ func TestParseEveryKey(t *testing.T) {
 	}
 	if s.Kill == nil || s.Kill.Engine != 1 || s.Kill.Cycle != 5000 {
 		t.Fatalf("kill: %+v", s.Kill)
+	}
+	if s.ReconfigFailures != 3 {
+		t.Fatalf("reconfig-fail: %d", s.ReconfigFailures)
 	}
 	if s.Churn.TargetVN != 2 {
 		t.Fatalf("churn vn: %+v", s.Churn)
@@ -145,6 +148,9 @@ func TestParseErrors(t *testing.T) {
 		{"kill=3", "want kill=ENGINE@CYCLE"},
 		{"kill=-1@100", "want both >= 0"},
 		{"kill=0@50000", "past the 32768-cycle run"},
+		{"reconfig-fail=2", "needs faults= or kill="},
+		{"kill=0@100,reconfig-fail=0", "want >= 1"},
+		{"kill=0@100,reconfig-fail=x", "not an integer"},
 		{"churn=100", "want churn=BATCHESxOPS"},
 		{"churn=0x50", "want both >= 1"},
 		{"churn=4x64:target=2", "want vn=N"},
@@ -174,6 +180,7 @@ func TestParseErrors(t *testing.T) {
 		{"fleet=2,faults=seu:1e-9", "cannot compose with a fleet run"},
 		{"fleet=2,kill=0@100", "cannot compose with a fleet run"},
 		{"fleet=2,churn=4x16", "cannot compose with a fleet run"},
+		{"fleet=2,reconfig-fail=1", "cannot compose with a fleet run"},
 		{"fleet=2,chaos=crash:1", "a fleet run takes devcrash, brownout or flaky"},
 		{"fleet=2,chaos=devcrash:3", "over fleet=2 devices, want distinct victims"},
 		{"chaos=devcrash:1", "need fleet="},

@@ -40,6 +40,7 @@ import (
 	"vrpower/internal/planner"
 	"vrpower/internal/power"
 	"vrpower/internal/rib"
+	"vrpower/internal/scenario"
 	"vrpower/internal/sched"
 	"vrpower/internal/tcam"
 	"vrpower/internal/traffic"
@@ -314,12 +315,23 @@ type (
 	ForwardingSystem = netsim.System
 	// ForwardingReport summarises a forwarding run.
 	ForwardingReport = netsim.Report
+	// ScenarioSpec is a parsed composed-run spec: load shape, faults,
+	// kill, churn, chaos, fleet and power caps (see docs/SCENARIOS.md).
+	ScenarioSpec = scenario.Spec
+	// ScenarioReport summarises a composed run (ForwardingSystem.RunScenario):
+	// per-VNID delivery and availability, SEU/kill lifecycles and MTTR,
+	// churn batches, and the governor and energy sections.
+	ScenarioReport = netsim.ScenarioReport
 )
 
 // NewForwarding wraps a built router and its tables for simulation.
 func NewForwarding(r *Router, tables []*Table) (*ForwardingSystem, error) {
 	return netsim.New(r, tables)
 }
+
+// ParseScenario parses a comma-separated key=value scenario spec, e.g.
+// "load=const:0.5,faults=seu:1e-9,kill=1@3000,cycles=16384".
+func ParseScenario(spec string) (ScenarioSpec, error) { return scenario.Parse(spec) }
 
 // Control-plane lifecycle (virtual network add/remove at runtime).
 type (
@@ -445,13 +457,8 @@ func BuildMultiway(tbl *Table, ways, stages int) (*MultiwayEngine, error) {
 	return multiway.Build(tbl, ways, stages)
 }
 
-// Trie braiding (reference [17]) and open-loop load testing.
-type (
-	// BraidedTrie is the braided merged lookup structure.
-	BraidedTrie = merge.BraidedTrie
-	// LoadReport summarises an open-loop offered-load run.
-	LoadReport = netsim.LoadReport
-)
+// Trie braiding (reference [17]).
+type BraidedTrie = merge.BraidedTrie
 
 // BraidTables merges K tables with greedy trie braiding: per-node twist
 // bits re-orient each network's children to maximise node sharing.
@@ -499,11 +506,6 @@ type (
 	ScrubResult = ctrl.ScrubResult
 	// ReconfigFailer injects mid-flight reconfiguration failures.
 	ReconfigFailer = ctrl.ReconfigFailer
-	// FaultRunConfig parameterises an end-to-end fault-injection run.
-	FaultRunConfig = netsim.FaultConfig
-	// FaultReport summarises a fault-injection run (per-VNID availability,
-	// SEU lifecycles, MTTR).
-	FaultReport = netsim.FaultReport
 	// SEURecord is one injected upset's detect/repair lifecycle.
 	SEURecord = netsim.SEURecord
 )

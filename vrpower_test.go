@@ -356,7 +356,11 @@ func TestFacadeBraidingAndLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.LoadTest(gen, 0.1, 5000, 32)
+	spec, err := vrpower.ParseScenario("load=const:0.1,queue=32,cycles=5000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.RunScenario(gen, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
