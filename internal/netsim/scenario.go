@@ -701,8 +701,9 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 					r.dropVN[vn].Inc()
 					obsFaultDrops.Inc()
 					if tracing && tel.Sampler.Sample(vn, seq) {
-						tel.PutDropTrace(seq, vn, eIdx, cyc, gen.NextFor(vn).Addr)
-						continue
+						// No address is drawn: a draw would shift the shared
+						// traffic stream, so traced runs would diverge.
+						tel.PutDropTrace(seq, vn, eIdx, cyc)
 					}
 					continue
 				}

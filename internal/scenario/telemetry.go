@@ -86,8 +86,9 @@ func (t *Telemetry) PutLookupTrace(seq int64, vn, engine int, base int64, res pi
 }
 
 // PutDropTrace records a sampled packet refused at ingress (its engine was
-// down): no pipeline traversal, Enter == Exit == the drop cycle.
-func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip.Addr) {
+// down): no pipeline traversal, Enter == Exit == the drop cycle. The trace
+// carries no address — the refused packet's address is never drawn.
+func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64) {
 	if t.Traces == nil {
 		return
 	}
@@ -95,7 +96,6 @@ func (t *Telemetry) PutDropTrace(seq int64, vn, engine int, cycle int64, addr ip
 		Seq:     seq,
 		VN:      vn,
 		Engine:  engine,
-		Addr:    addr.String(),
 		Enter:   cycle,
 		Exit:    cycle,
 		Outcome: "drop-down",
