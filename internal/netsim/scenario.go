@@ -8,13 +8,13 @@ package netsim
 // one stressor. Each adversity source is a scenario.Stressor over shared
 // run state — faults registered before churn, so a scrub decision at a
 // boundary is visible to the same boundary's arm decision — and the kernel
-// is a sequential per-cycle loop: per-network Bernoulli arrivals (probability from the load shape) wait in
-// bounded ingress queues, each engine injects one packet per cycle into a
-// persistent parity-checking simulator, and every exit is checked against
-// the reference table of its injection epoch. Because arrivals share one
-// generator stream and all control decisions run on the coordinator, the
-// whole composed run is a pure function of its seeds — byte-identical at
-// any -j.
+// is a sequential per-cycle loop: per-network Bernoulli arrivals
+// (probability from the load shape) wait in bounded ingress queues, each
+// engine injects one packet per cycle into a persistent parity-checking
+// simulator, and every exit is checked against the reference table of its
+// injection epoch. Because arrivals share one generator stream and all
+// control decisions run on the coordinator, the whole composed run is a
+// pure function of its seeds — byte-identical at any -j.
 //
 // Cross-stressor semantics (the interesting part):
 //
@@ -27,8 +27,9 @@ package netsim
 //     (the reload would clobber its shadow writes); a batch aimed at a
 //     dead engine is aborted too, so the run always terminates.
 //   - The governor acts at the arrival/service grain (admission drops,
-//     frequency-paced service, quiescing); a reloading engine's utilization is pinned by the reload flags it
-//     reports, so caps and scrubs interact the way the governor expects.
+//     frequency-paced service, quiescing); a reloading engine's
+//     utilization is pinned by the reload flags it reports, so caps and
+//     scrubs interact the way the governor expects.
 
 import (
 	"fmt"

@@ -7,9 +7,8 @@ package scenario
 // — deterministic serve pacers for DVFS frequency stepping, engine
 // quiescing, merged-scheme admission control, and brownout drops. A run
 // actuates through exactly two calls: AdmitArrival per arrival and
-// EngineServes per engine-cycle. All
-// decisions happen on the coordinating goroutine, so governed runs stay
-// byte-identical at any -j.
+// EngineServes per engine-cycle. All decisions happen on the coordinating
+// goroutine, so governed runs stay byte-identical at any -j.
 
 import (
 	"vrpower/internal/governor"
