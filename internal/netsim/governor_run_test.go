@@ -24,11 +24,12 @@ func capBelowSteady(s *System, u, frac float64) float64 {
 }
 
 // TestGovernedLoadTestConvergesAndRecovers is the governor's end-to-end
-// demonstration on the separate scheme under the -load preset: a cap below steady-state power must
-// force the ladder down (frequency first, then shedding the lowest-priority
-// VNIDs), converge under the cap within a ladder-bounded number of violating
-// slices, hold there without oscillating, and — once the cap lifts mid-run —
-// walk all the way back to full speed.
+// demonstration on the separate scheme under the -load preset: a cap below
+// steady-state power must force the ladder down (frequency first, then
+// shedding the lowest-priority VNIDs), converge under the cap within a
+// ladder-bounded number of violating slices, hold there without
+// oscillating, and — once the cap lifts mid-run — walk all the way back to
+// full speed.
 func TestGovernedLoadTestConvergesAndRecovers(t *testing.T) {
 	s, _ := buildSystem(t, core.VS, 3)
 	const cycles, lift = 64 * 1024, 32 * 1024
