@@ -1,12 +1,15 @@
 package netsim
 
-// Guard rails around the energy columns' introduction: the pre-energy
-// snapshot of the one-shot forward_vm golden is preserved under
-// testdata/pre_energy/, and this test proves the energy layer changed
-// NOTHING observable there except its own additions — the report gains
+// Guard rails around the energy columns: testdata/pre_energy/ holds an
+// energy-free snapshot of the equivalence goldens — forward_vm as captured
+// before the energy layer existed, the scenario-spec cases as their current
+// goldens minus the energy additions — and this test proves each golden
+// differs from its snapshot ONLY by those additions: the report gains
 // exactly the Energy section, the series gains exactly the
 // dyn_j/static_j/j_per_bit columns, and traces and events are byte-identical.
-// The attribution invariant itself is checked on every equivalence case by
+// Regenerating the goldens for an energy-only change therefore keeps this
+// test green, while a change to anything else must update both files. The
+// attribution invariant itself is checked on every equivalence case by
 // checkAttribution.
 
 import (
