@@ -325,7 +325,11 @@ func (r *scenRun) flushExits(e *scenEng) {
 // plane installs the new table and image, the fault lifecycle's serving-
 // image pointer follows the flipped shadow bank (SEUs and scrub rebuilds
 // must target what the engine now reads), the journal closes the op and the
-// live image is audited.
+// live image is audited. Upsets that landed after the commit bubble drained
+// are carried onto the new bank: PreSlice applies a whole slice's upsets to
+// the old bank at slice start, so one landing after the mid-slice flip
+// would otherwise sit in an image no engine reads, never detected and never
+// repaired.
 func (r *scenRun) commitUpdate(e *scenEng) error {
 	rep, tel := r.rep, r.s.tel
 	h := e.handle
@@ -333,6 +337,11 @@ func (r *scenRun) commitUpdate(e *scenEng) error {
 		return err
 	}
 	e.fs.img = h.Image()
+	for _, i := range e.fs.outstanding {
+		if u := rep.SEUs[i].Upset; u.Cycle > e.doneAt {
+			faults.ApplyUpset(e.fs.img, u)
+		}
+	}
 	e.batch.DoneAt = e.doneAt
 	rep.Batches = append(rep.Batches, e.batch)
 	rep.BatchesApplied++

@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"vrpower/internal/core"
+	"vrpower/internal/rib"
 	"vrpower/internal/scenario"
 	"vrpower/internal/sweep"
+	"vrpower/internal/traffic"
 )
 
 func mustParse(t *testing.T, spec string) scenario.Spec {
@@ -236,5 +238,56 @@ func TestScenarioInvalidOnSystem(t *testing.T) {
 	nv, _ := buildSystem(t, core.NV, 2)
 	if _, err := nv.RunScenario(faultGen(t, nv, 1), mustParse(t, "churn=2x16")); err == nil {
 		t.Error("churn accepted on the non-virtualized scheme")
+	}
+}
+
+// TestScenarioSEUAfterBankFlipRepaired runs the scenario-smoke spec on the
+// lookupsim default system (1000 prefixes, seed 1, routed traffic from seed
+// 2). Two of its upsets land on an engine after that engine's commit bubble
+// flipped the bank but before the boundary that repoints the fault state at
+// the new image: each must still be detected and repaired, so the run
+// recovers and drains instead of hitting its bound.
+func TestScenarioSEUAfterBankFlipRepaired(t *testing.T) {
+	const k = 3
+	set, err := rib.GenerateVirtualSet(k, 1000, 0.5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.Build(core.Config{Scheme: core.VS, K: k, ClockGating: true}, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(r, set.Tables)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := traffic.New(traffic.Config{K: k, Seed: 2, Addr: traffic.RoutedAddr, Tables: set.Tables})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mustParse(t, "load=surge:0.3:0.9,faults=seu:2e-9,kill=1@3000,churn=6x32,power-cap=38,cycles=16384,queue=32,seed=11")
+	rep, err := s.RunScenario(g, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkConservation(t, rep)
+	// The spec must exercise the case: an upset on an engine after that
+	// engine's commit bubble, in the slice the commit drained in.
+	stranded := 0
+	for _, u := range rep.SEUs {
+		for _, b := range rep.Batches {
+			if b.Engine == u.Engine && u.Cycle > b.DoneAt && u.Cycle/rep.SliceCycles == b.DoneAt/rep.SliceCycles {
+				stranded++
+			}
+		}
+	}
+	if stranded == 0 {
+		t.Fatal("no upset lands after a bank flip in its slice; the spec no longer covers the case")
+	}
+	if got := rep.RepairedSEUs(); rep.DetectedSEUs() != len(rep.SEUs) || got != len(rep.SEUs) {
+		t.Fatalf("SEUs injected %d / detected %d / repaired %d, want all", len(rep.SEUs), rep.DetectedSEUs(), got)
+	}
+	if !rep.Recovered || !rep.Completed {
+		t.Fatalf("Recovered %v Completed %v (drain %d cycles), want both", rep.Recovered, rep.Completed, rep.DrainCycles)
 	}
 }
