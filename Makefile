@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet vuln bench bench-gate bench-baseline
+.PHONY: all build test race telemetry-smoke governor-smoke scenario-smoke chaos-smoke energy-smoke fleet-smoke fuzz-smoke fuzz-batch-smoke vet fmt-check vuln bench bench-gate bench-baseline
 
 all: build test
 
@@ -184,6 +184,12 @@ fuzz-batch-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt gate over every tracked Go file: lists any file gofmt would
+# rewrite and fails.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Known-vulnerability scan. govulncheck is not vendored; skip gracefully
 # where it is not installed (CI installs it in the lint job).

@@ -234,6 +234,52 @@ func TestFoldCommutes(t *testing.T) {
 	}
 }
 
+// TestFoldDevice folds two device meters with different models into a
+// fleet meter indexed by device: each device's whole dynamic and static
+// total must land in its own slot, the per-VNID axis and counts must sum,
+// and the fleet report must pass the attribution check.
+func TestFoldDevice(t *testing.T) {
+	one := mustModel(t, design(fpga.Grade2, fpga.BRAM18Mode, 18*1024, 18*1024))
+	two := mustModel(t, power.SystemDesign{
+		Grade: fpga.Grade2, Mode: fpga.BRAM18Mode, FMHz: 250, Devices: 1,
+		Engines: []power.EngineDesign{
+			{StageBits: []int64{18 * 1024}, Utilization: 1},
+			{StageBits: []int64{18 * 1024, 36 * 1024}, Utilization: 1},
+		},
+	})
+	a := NewMeter(one, 3)
+	a.Lookup(0, 0, 1)
+	a.Bubble(0, 2)
+	a.StaticSlice(100, 1)
+	b := NewMeter(two, 3)
+	b.Lookup(1, 1, 1)
+	b.AddWords(0, 2, 5)
+	b.Transition(1, 1)
+	b.StaticSlice(200, 1)
+
+	fleet := &Meter{VNDynFJ: make([]int64, 3), EngineDynFJ: make([]int64, 3), DeviceStaticFJ: make([]int64, 3)}
+	fleet.FoldDevice(0, a)
+	fleet.FoldDevice(2, b)
+	if fleet.EngineDynFJ[0] != a.DynTotalFJ() || fleet.EngineDynFJ[1] != 0 || fleet.EngineDynFJ[2] != b.DynTotalFJ() {
+		t.Errorf("device dynamic slots %v, want [%d 0 %d]", fleet.EngineDynFJ, a.DynTotalFJ(), b.DynTotalFJ())
+	}
+	if fleet.DeviceStaticFJ[0] != a.StaticTotalFJ() || fleet.DeviceStaticFJ[2] != b.StaticTotalFJ() {
+		t.Errorf("device static slots %v", fleet.DeviceStaticFJ)
+	}
+	for vn := range fleet.VNDynFJ {
+		if want := a.VNDynFJ[vn] + b.VNDynFJ[vn]; fleet.VNDynFJ[vn] != want {
+			t.Errorf("VN %d: %d fJ, want %d", vn, fleet.VNDynFJ[vn], want)
+		}
+	}
+	if fleet.Lookups != 2 || fleet.Bubbles != 1 || fleet.Words != 5 || fleet.Transitions != 1 {
+		t.Errorf("event counts = %d/%d/%d/%d, want 2/1/5/1",
+			fleet.Lookups, fleet.Bubbles, fleet.Words, fleet.Transitions)
+	}
+	if _, err := fleet.Report(320); err != nil {
+		t.Error(err)
+	}
+}
+
 // TestIdentityVsEstimate is the energy↔power consistency check: for a steady
 // uniform run — one lookup per cycle walking the full pipe at utilization 1 —
 // the meter's integrated energy must equal the analytical power model's Watts

@@ -132,14 +132,30 @@ func (mt *Meter) Fold(o *Meter) {
 	if o == nil {
 		return
 	}
-	for i := range o.VNDynFJ {
-		mt.VNDynFJ[i] += o.VNDynFJ[i]
-	}
 	for i := range o.EngineDynFJ {
 		mt.EngineDynFJ[i] += o.EngineDynFJ[i]
 	}
 	for i := range o.DeviceStaticFJ {
 		mt.DeviceStaticFJ[i] += o.DeviceStaticFJ[i]
+	}
+	mt.foldTotals(o)
+}
+
+// FoldDevice adds device d's meter into a fleet meter whose engine and
+// device axes are both indexed by device: d's whole dynamic energy lands on
+// engine slot d and its leakage on device slot d, while the per-VNID axis,
+// components and event counts fold as in Fold. A fleet keeps devices as the
+// stable identity because engines come and go with migrations.
+func (mt *Meter) FoldDevice(d int, o *Meter) {
+	mt.EngineDynFJ[d] += o.DynTotalFJ()
+	mt.DeviceStaticFJ[d] += o.StaticTotalFJ()
+	mt.foldTotals(o)
+}
+
+// foldTotals adds o's per-VNID axis, components and event counts.
+func (mt *Meter) foldTotals(o *Meter) {
+	for i := range o.VNDynFJ {
+		mt.VNDynFJ[i] += o.VNDynFJ[i]
 	}
 	mt.MemFJ += o.MemFJ
 	mt.ClockFJ += o.ClockFJ

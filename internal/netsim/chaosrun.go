@@ -30,9 +30,9 @@ import (
 	"fmt"
 	"math"
 
-	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
 	"vrpower/internal/faults"
+	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -490,29 +490,27 @@ func (r *scenRun) auditLive(eIdx int, img *pipeline.Image, at int64) {
 // every hosted network's authoritative routes with their oracle answers.
 func (r *scenRun) auditProbesFor(eIdx int) []pipeline.Probe {
 	var probes []pipeline.Probe
-	for vn := 0; vn < r.s.k; vn++ {
-		if r.engineOf(vn) != eIdx {
-			continue
-		}
-		var tbl *rib.Table
+	for reqVN, vn := range r.engines[eIdx].vns {
+		tbl := r.s.tables[vn]
 		if r.mgr != nil {
 			tbl = r.mgr.Tables()[vn]
-		} else {
-			tbl = r.s.tables[vn]
 		}
-		ref := tbl.Reference()
-		stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
-		if stride < 1 {
-			stride = 1
-		}
-		reqVN := 0
-		if r.scheme == core.VM {
-			reqVN = vn
-		}
-		for i := 0; i < tbl.Len(); i += stride {
-			addr := tbl.Routes[i].Prefix.Addr
-			probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: ref.Lookup(addr)})
-		}
+		probes = append(probes, auditProbes(tbl, tbl.Reference(), reqVN)...)
+	}
+	return probes
+}
+
+// auditProbes builds a stride sample of one network's routes with their
+// oracle answers, tagged with the engine-local request VN.
+func auditProbes(tbl *rib.Table, ref *ip.Table, reqVN int) []pipeline.Probe {
+	stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
+	if stride < 1 {
+		stride = 1
+	}
+	var probes []pipeline.Probe
+	for i := 0; i < tbl.Len(); i += stride {
+		addr := tbl.Routes[i].Prefix.Addr
+		probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: ref.Lookup(addr)})
 	}
 	return probes
 }
@@ -529,7 +527,7 @@ func (r *scenRun) chaosSliceStats() (recoveries, degradedVNs int) {
 		recoveries += st.Replays + st.Rollbacks
 	}
 	for vn := 0; vn < r.s.k; vn++ {
-		if r.wd.Degraded(r.engineOf(vn)) {
+		if r.wd.Degraded(r.home[vn]) {
 			degradedVNs++
 			r.rep.Chaos.DegradedSlicesPerVN[vn]++
 		}

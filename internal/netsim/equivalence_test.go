@@ -149,6 +149,9 @@ func equivalenceCases() []equivalenceCase {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if rep.Completed {
+				checkBalance(t, rep)
+			}
 			return dumpJSON(t, rep)
 		}},
 	}

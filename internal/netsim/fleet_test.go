@@ -2,8 +2,9 @@ package netsim
 
 // Behavioural tests for the fleet failure-domain layer: a device crash must
 // be survived by live-migrating every victim network onto the survivors (or
-// a woken spare) without ever misforwarding, and an unplaceable loss must
-// degrade per-network instead of failing the run.
+// a woken spare) without ever misforwarding, an unplaceable loss must
+// degrade per-network instead of failing the run, and every completed run
+// must conserve its packets.
 
 import (
 	"strings"
@@ -26,6 +27,11 @@ func runFleet(t *testing.T, k int, spec string) ScenarioReport {
 	}
 	if rep.Fleet == nil {
 		t.Fatal("fleet spec produced no fleet report")
+	}
+	// A fleet run that completed conserves every packet, degraded or not:
+	// degradation drops the held queue, so nothing is left stranded.
+	if rep.Completed {
+		checkBalance(t, rep)
 	}
 	return rep
 }
@@ -161,4 +167,22 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
+}
+
+func TestFleetFlagshipConserves(t *testing.T) {
+	// The fleet-smoke flagship: both actives crash in sequence, the spare
+	// takes the whole fleet, flaky installs retry and a brownout window
+	// paces one device.
+	rep := runFleet(t, 8,
+		"load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=65536,queue=32,seed=2")
+	if !rep.Completed {
+		t.Fatal("flagship fleet run did not complete")
+	}
+	if len(rep.Fleet.Crashes) != 2 || rep.Fleet.SpareActivations == 0 {
+		t.Fatalf("crashes %+v, spare activations %d: want both actives lost and the spare woken",
+			rep.Fleet.Crashes, rep.Fleet.SpareActivations)
+	}
+	if rep.Mismatches != 0 || rep.Fleet.AuditMismatches != 0 {
+		t.Fatalf("misforwards under failover: %d/%d", rep.Mismatches, rep.Fleet.AuditMismatches)
+	}
 }

@@ -13,6 +13,13 @@ package netsim
 // when the budget runs out the victim degrades — its traffic drops, never
 // misforwards — and every landed install is audited against the RIB oracle.
 //
+// Devices serve through the same lanes and plane as RunScenario (lane.go):
+// one lane per engine of a device's current router, the merged engine's
+// lane serving every tenant. This file only decides which lanes exist —
+// building them at placement and at each landed install, dropping them at
+// a crash — and which networks are homeless. The ingress queues are
+// fleet-wide, so a crashed device's held packets wait for the migration.
+//
 // All decisions (crash handling, attempt starts, installs, degradations)
 // run at slice boundaries on the coordinating goroutine from seeded state,
 // so fleet runs are byte-identical at any -j.
@@ -20,10 +27,12 @@ package netsim
 // Fleet-mode accounting approximations (documented in DESIGN §16):
 //
 //   - Energy is metered per device over that device's current power model
-//     and folded into one fleet-wide report at retirement points (crash,
-//     install landing, run end). The report's engine axis is the DEVICE
-//     axis — EngineDynFJ[d] is device d's dynamic energy — because engines
-//     come and go with migrations while devices are the stable identity.
+//     and each retired device meter folds into one fleet energy.Meter
+//     (Meter.FoldDevice) at crash, install landing and run end, so the
+//     report comes from Meter.Report with its attribution check. The
+//     report's engine axis is the DEVICE axis — EngineDynFJ[d] is device
+//     d's dynamic energy — because engines come and go with migrations
+//     while devices are the stable identity.
 //   - The engine's per-slice energy columns read zero (Engine.Energy is
 //     nil); the end-of-run energy report is exact.
 //   - The series power column is modeled over the initial fleet's engines;
@@ -38,7 +47,6 @@ import (
 	"vrpower/internal/energy"
 	"vrpower/internal/faults"
 	"vrpower/internal/fleet"
-	"vrpower/internal/ip"
 	"vrpower/internal/obs"
 	"vrpower/internal/pipeline"
 	"vrpower/internal/rib"
@@ -141,35 +149,13 @@ type FleetDegradedRecord struct {
 	Reason string
 }
 
-// fleetExit is one in-flight lookup's metadata on a fleet device.
-type fleetExit struct {
-	vn      int
-	arrival int64
-	seq     int64
-	trace   bool
-}
-
-// fleetQueued is one packet waiting in a network's ingress queue. The
-// request VN is stamped at injection time (the serving index may change
-// between enqueue and service when the network migrates).
-type fleetQueued struct {
-	addr    ip.Addr
-	trace   bool
-	vn      int
-	arrival int64
-	seq     int64
-}
-
 // fleetDev is one simulated device's run state: its current router and
-// per-engine simulators, the energy meter over its current power model, a
+// serving lanes, the energy meter over its current power model, a
 // write-ahead journal for installs, and the in-flight install (if any).
 type fleetDev struct {
 	id      int
 	router  *core.Router
-	sims    []*pipeline.Sim
-	exits   [][]fleetExit
-	rrNext  []int
-	utilCur [][2]int64
+	lanes   []*lane
 	meter   *energy.Meter
 	jr      *ctrl.Journal
 	browned int64
@@ -185,20 +171,17 @@ type fleetDev struct {
 	blackout bool
 }
 
-// fleetRun is the fleet scenario's shared state: the placement controller,
-// the device fault deck, the per-device run state and the report.
+// fleetRun is the fleet scenario's shared state: the serving plane, the
+// placement controller, the device fault deck and the per-device run state.
 type fleetRun struct {
-	s    *System
-	spec scenario.Spec
-	gen  *traffic.Generator
+	*plane
 
 	cfg fleet.Config
 	ctr *fleet.Controller
 	inj *faults.DeviceInjector
 	est fleet.Estimator
 
-	devs   []*fleetDev
-	queues [][]fleetQueued
+	devs []*fleetDev
 
 	// installing guards against re-starting a migration whose install is
 	// mid-flight; mrec maps each migration to its report record.
@@ -209,33 +192,20 @@ type fleetRun struct {
 	cache   map[string]*core.Router
 	baseCfg core.Config
 
-	rep  *ScenarioReport
 	frep *FleetReport
 
 	// Composite series-power mapping: initial device d owns slots
 	// engOff[d]..engOff[d]+engCnt[d] of the engine Design.
 	engOff, engCnt []int
 	utils          []float64
-	upVN           []bool
 
-	// Fleet-wide energy scalars, folded from retired device meters.
-	vnDynFJ     []int64
-	devDynFJ    []int64
-	devStaticFJ []int64
-	memFJ       int64
-	clockFJ     int64
-	ctrlFJ      int64
-	lookups     int64
-	bubbles     int64
-	words       int64
-	transitions int64
+	// meter is the fleet-wide energy meter: each retired device meter folds
+	// into its device's slot.
+	meter *energy.Meter
 
-	delaySum  float64
-	delivered int64
-	maxWords  int
+	maxWords int
 
 	powerUpAnnounced []bool
-	dropVN           []*obs.Counter
 }
 
 // buildKey memoizes router builds: compiles depend only on (scheme, tables).
@@ -293,51 +263,47 @@ func (r *fleetRun) newDeviceMeter(rt *core.Router) (*energy.Meter, error) {
 	return mt, nil
 }
 
-// retireMeter folds a device's meter into the fleet-wide scalars and drops
-// it. Called when the device's power model is about to change (install
+// retireMeter folds a device's meter into the fleet meter and drops it.
+// Called when the device's power model is about to change (install
 // landing), when the device crashes, and at run end.
 func (r *fleetRun) retireMeter(dev *fleetDev) {
-	mt := dev.meter
-	if mt == nil {
-		return
+	if dev.meter != nil {
+		r.meter.FoldDevice(dev.id, dev.meter)
+		dev.meter = nil
 	}
-	for vn := range mt.VNDynFJ {
-		r.vnDynFJ[vn] += mt.VNDynFJ[vn]
-	}
-	r.devDynFJ[dev.id] += mt.DynTotalFJ()
-	r.devStaticFJ[dev.id] += mt.StaticTotalFJ()
-	r.memFJ += mt.MemFJ
-	r.clockFJ += mt.ClockFJ
-	r.ctrlFJ += mt.CtrlFJ
-	r.lookups += mt.Lookups
-	r.bubbles += mt.Bubbles
-	r.words += mt.Words
-	r.transitions += mt.Transitions
-	dev.meter = nil
 }
 
-// flushDevExits drops a device's in-flight lookups (crash or merge
-// blackout: the pipelines' contents are lost).
-func (r *fleetRun) flushDevExits(dev *fleetDev) {
-	for e := range dev.exits {
-		for _, m := range dev.exits[e] {
-			r.rep.DroppedPerVN[m.vn]++
-			r.dropVN[m.vn].Inc()
+// serveRouter replaces a device's lanes with one per engine of rt, serving
+// vns in rt's tenant order: the merged engine all of them, per-network
+// engines one each.
+func (dev *fleetDev) serveRouter(rt *core.Router, vns []int) {
+	vns = append([]int(nil), vns...)
+	imgs := rt.Images()
+	dev.lanes = make([]*lane, len(imgs))
+	for e, img := range imgs {
+		served := vns[e : e+1]
+		if rt.Config().Scheme == core.VM {
+			served = vns
 		}
-		dev.exits[e] = dev.exits[e][:0]
+		dev.lanes[e] = newLane(img, e, dev.id, served)
+	}
+}
+
+// refresh recomputes the per-network verdict: a network is down while
+// homeless (crashed out, mid-migration, degraded) or while its device is
+// blacked out by a merge rebuild.
+func (r *fleetRun) refresh() {
+	for vn := range r.home {
+		d := r.ctr.DeviceOf(vn)
+		r.home[vn] = d
+		r.down[vn] = d < 0 || r.devs[d].blackout
 	}
 }
 
 // degradeCleanup parks a network: its held queue drops (never misforwards)
 // and the degradation is recorded.
 func (r *fleetRun) degradeCleanup(d fleet.Degradation) {
-	if n := len(r.queues[d.VN]); n > 0 {
-		r.rep.DroppedPerVN[d.VN] += int64(n)
-		for i := 0; i < n; i++ {
-			r.dropVN[d.VN].Inc()
-		}
-		r.queues[d.VN] = nil
-	}
+	r.dropQueue(d.VN)
 	r.frep.Degraded = append(r.frep.Degraded, FleetDegradedRecord{VN: d.VN, At: d.At, Reason: d.Err.Error()})
 	r.s.tel.Events.Log(obs.LevelError, d.At, "vn_degraded", "vn", d.VN, "reason", d.Err.Error())
 }
@@ -399,9 +365,11 @@ func (f fleetStressor) Boundary(b int64, _ bool) error {
 			delete(r.installing, dev.m)
 			dev.clearInstall()
 		}
-		r.flushDevExits(dev)
+		for _, l := range dev.lanes {
+			r.flush(l)
+		}
 		r.retireMeter(dev)
-		dev.sims = nil
+		dev.lanes = nil
 		dev.router = nil
 		planned, degs, err := ctr.Crash(cr.Device, cr.Cycle)
 		if err != nil {
@@ -536,10 +504,12 @@ func (r *fleetRun) beginAttempt(m *fleet.Migration, b int64) error {
 	dev.landAt = b + int64(writes)
 	// A merge rebuild (into or out of the shared-engine scheme) rewrites
 	// every serving engine: the device blacks out until the install lands.
-	dev.blackout = len(dev.sims) > 0 &&
+	dev.blackout = len(dev.lanes) > 0 &&
 		(m.ToScheme == core.VM || dev.router.Config().Scheme == core.VM)
 	if dev.blackout {
-		r.flushDevExits(dev)
+		for _, l := range dev.lanes {
+			r.flush(l)
+		}
 	}
 	r.installing[m] = true
 	tel.Events.Log(obs.LevelInfo, b, "migration_start",
@@ -573,30 +543,16 @@ func (r *fleetRun) landInstall(dev *fleetDev) error {
 	// engine, attributed to the migrating network.
 	dev.meter.AddWords(engIdx, m.VN, int64(dev.writes))
 
-	hitless := !dev.blackout && len(dev.sims) > 0
-	if hitless {
+	newVNs := append(append([]int(nil), ctr.VNs(m.To)...), m.VN)
+	if !dev.blackout && len(dev.lanes) > 0 {
 		// Per-network images depend only on their own table, so the
 		// surviving engines' images are byte-identical in the new build:
-		// the expansion appends one engine while the others keep serving.
-		sim := pipeline.NewSim(dev.pending.Images()[engIdx])
-		sim.EnableParityCheck()
-		dev.sims = append(dev.sims, sim)
-		dev.exits = append(dev.exits, nil)
-		dev.rrNext = append(dev.rrNext, 0)
-		dev.utilCur = append(dev.utilCur, [2]int64{})
+		// the expansion appends one lane while the others keep serving.
+		dev.lanes = append(dev.lanes, newLane(dev.pending.Images()[engIdx], engIdx, dev.id, []int{m.VN}))
 	} else {
-		imgs := dev.pending.Images()
-		dev.sims = make([]*pipeline.Sim, len(imgs))
-		dev.exits = make([][]fleetExit, len(imgs))
-		dev.rrNext = make([]int, len(imgs))
-		dev.utilCur = make([][2]int64, len(imgs))
-		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewSim(img)
-			dev.sims[e].EnableParityCheck()
-		}
+		dev.serveRouter(dev.pending, newVNs)
 	}
 	dev.router = dev.pending
-	newVNs := append(append([]int(nil), ctr.VNs(m.To)...), m.VN)
 	r.auditDevice(dev, m, newVNs, at)
 	ctr.Complete(m, at)
 	delete(r.installing, m)
@@ -624,11 +580,11 @@ func (r *fleetRun) auditDevice(dev *fleetDev, m *fleet.Migration, vns []int, at 
 	if m.ToScheme == core.VM {
 		img = dev.pending.Images()[0]
 		for j, vn := range vns {
-			probes = append(probes, r.auditProbesVN(vn, j)...)
+			probes = append(probes, auditProbes(r.s.tables[vn], r.s.refs[vn], j)...)
 		}
 	} else {
 		img = dev.pending.Images()[len(vns)-1]
-		probes = r.auditProbesVN(m.VN, 0)
+		probes = auditProbes(r.s.tables[m.VN], r.s.refs[m.VN], 0)
 	}
 	res := pipeline.AuditImage(img, probes)
 	r.frep.Audits++
@@ -644,169 +600,33 @@ func (r *fleetRun) auditDevice(dev *fleetDev, m *fleet.Migration, vns []int, at 
 		"faulted", res.Faulted, "mismatches", res.Mismatches)
 }
 
-// auditProbesVN builds a stride sample of one network's authoritative
-// routes with their oracle answers, tagged with the engine-local request VN.
-func (r *fleetRun) auditProbesVN(vn, reqVN int) []pipeline.Probe {
-	tbl := r.s.tables[vn]
-	ref := tbl.Reference()
-	stride := (tbl.Len() + auditProbeCap - 1) / auditProbeCap
-	if stride < 1 {
-		stride = 1
-	}
-	var probes []pipeline.Probe
-	for i := 0; i < tbl.Len(); i += stride {
-		addr := tbl.Routes[i].Prefix.Addr
-		probes = append(probes, pipeline.Probe{Addr: addr, VN: reqVN, Want: ref.Lookup(addr)})
-	}
-	return probes
-}
-
 // ---- kernel ---------------------------------------------------------------
-
-// Outstanding keeps the drain going while any network still has held
-// arrivals or any device in-flight lookups.
-func (r *fleetRun) Outstanding() bool {
-	for vn := range r.queues {
-		if len(r.queues[vn]) > 0 {
-			return true
-		}
-	}
-	for _, dev := range r.devs {
-		for e := range dev.exits {
-			if len(dev.exits[e]) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// serveDevice runs one service cycle on an active device: each engine
-// accepts one packet, round-robin over the tenants it serves (the merged
-// engine serves all of them, per-network engines exactly one).
-func (r *fleetRun) serveDevice(dev *fleetDev, cyc int64) {
-	s, tel := r.s, r.s.tel
-	vns := r.ctr.VNs(dev.id)
-	merged := dev.router.Config().Scheme == core.VM
-	for e := range dev.sims {
-		var req *pipeline.Request
-		if merged {
-			for i := 0; i < len(vns); i++ {
-				j := (dev.rrNext[e] + i) % len(vns)
-				vn := vns[j]
-				if len(r.queues[vn]) == 0 {
-					continue
-				}
-				q := r.queues[vn][0]
-				r.queues[vn] = r.queues[vn][1:]
-				req = &pipeline.Request{Addr: q.addr, VN: j, Trace: q.trace}
-				dev.exits[e] = append(dev.exits[e], fleetExit{
-					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
-				})
-				dev.rrNext[e] = (j + 1) % len(vns)
-				break
-			}
-		} else if e < len(vns) {
-			vn := vns[e]
-			if len(r.queues[vn]) > 0 {
-				q := r.queues[vn][0]
-				r.queues[vn] = r.queues[vn][1:]
-				req = &pipeline.Request{Addr: q.addr, VN: 0, Trace: q.trace}
-				dev.exits[e] = append(dev.exits[e], fleetExit{
-					vn: q.vn, arrival: q.arrival, seq: q.seq, trace: q.trace,
-				})
-			}
-		}
-		res, done := dev.sims[e].Inject(req)
-		if !done {
-			continue
-		}
-		m := dev.exits[e][0]
-		dev.exits[e] = dev.exits[e][1:]
-		dev.meter.Lookup(e, m.vn, res.LastStage)
-		outcome := "forward"
-		switch {
-		case res.Faulted:
-			// Corruption read mid-lookup: drop, never misforward.
-			r.rep.FaultedLookups++
-			r.rep.DroppedPerVN[m.vn]++
-			r.dropVN[m.vn].Inc()
-			outcome = "drop-fault"
-		default:
-			want := s.refs[m.vn].Lookup(res.Addr)
-			if res.NHI != want {
-				r.rep.Mismatches++
-				outcome = "mismatch"
-			} else {
-				r.rep.DeliveredPerVN[m.vn]++
-				r.delivered++
-				r.delaySum += float64(cyc - m.arrival)
-				if want == ip.NoRoute {
-					r.rep.NoRoute++
-					outcome = "noroute"
-				}
-			}
-		}
-		if m.trace {
-			tel.PutLookupTrace(m.seq, m.vn, dev.id, 0, res, res.EnterCycle-m.arrival, outcome)
-		}
-	}
-}
 
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // per-network ingress queues (live slices only; a homeless or blacked-out
-// network's arrivals drop), then one service step per device per cycle —
-// a browned-out device sits alternate cycles out.
+// network's arrivals drop), then one service step per active device's lanes
+// per cycle — a browned-out device sits alternate cycles out.
 func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
-	s, gen, ctr, rep := r.s, r.gen, r.ctr, r.rep
-	tel := s.tel
-	tracing := tel.Tracing()
-	var sliceStart int64 = r.delivered
+	ctr := r.ctr
+	r.refresh()
+	from := r.delivered
 	for cyc := b; cyc < b+n; cyc++ {
 		if live {
-			p := r.spec.Load.At(cyc, r.spec.Cycles)
-			for vn := 0; vn < s.k; vn++ {
-				if !gen.Bernoulli(p) {
-					continue
-				}
-				rep.OfferedPerVN[vn]++
-				d := ctr.DeviceOf(vn)
-				if d < 0 || r.devs[d].blackout {
-					// Homeless (crashed out, mid-migration, degraded) or
-					// mid-merge-rebuild: drop, never misforward.
-					rep.DroppedPerVN[vn]++
-					r.dropVN[vn].Inc()
-					continue
-				}
-				if len(r.queues[vn]) >= r.spec.Queue {
-					rep.DroppedPerVN[vn]++
-					continue
-				}
-				pkt := gen.NextFor(vn)
-				seq := cyc*int64(s.k) + int64(vn)
-				q := fleetQueued{addr: pkt.Addr, vn: vn, arrival: cyc, seq: seq}
-				if tracing {
-					q.trace = tel.Sampler.Sample(vn, seq)
-				}
-				r.queues[vn] = append(r.queues[vn], q)
-			}
-			backlog := 0
-			for vn := range r.queues {
-				backlog += len(r.queues[vn])
-			}
-			if backlog > rep.BacklogPeak {
-				rep.BacklogPeak = backlog
-			}
+			r.arrive(cyc, nil)
 		}
 		for _, dev := range r.devs {
-			if ctr.State(dev.id) != fleet.DevActive || dev.sims == nil || dev.blackout {
+			if ctr.State(dev.id) != fleet.DevActive || dev.lanes == nil || dev.blackout {
 				continue
 			}
 			if r.inj.BrownedOut(dev.id, cyc) {
 				dev.browned++
 				continue
 			}
-			r.serveDevice(dev, cyc)
+			for _, l := range dev.lanes {
+				if res, done := r.serve(l); done {
+					r.retire(l, dev.meter, res, cyc)
+				}
+			}
 		}
 	}
 
@@ -819,26 +639,19 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 
 	// Slice measurement: composite utilization over the initial fleet's
 	// engine slots, per-network availability.
-	backlog := 0
-	for vn := range r.queues {
-		backlog += len(r.queues[vn])
-	}
 	for i := range r.utils {
 		r.utils[i] = 0
 	}
 	for d := 0; d < r.frep.Devices; d++ {
 		dev := r.devs[d]
-		if r.engCnt[d] == 0 || dev.sims == nil {
+		if r.engCnt[d] == 0 || dev.lanes == nil {
 			continue
 		}
 		var sum float64
-		for i := range dev.sims {
-			var u float64
-			u, dev.utilCur[i][0], dev.utilCur[i][1] =
-				scenario.UtilDelta(dev.sims[i].Stats(), dev.utilCur[i][0], dev.utilCur[i][1])
-			sum += u
+		for _, l := range dev.lanes {
+			sum += l.util()
 		}
-		mean := sum / float64(len(dev.sims))
+		mean := sum / float64(len(dev.lanes))
 		for i := 0; i < r.engCnt[d]; i++ {
 			r.utils[r.engOff[d]+i] = mean
 		}
@@ -849,20 +662,11 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 			installs++
 		}
 	}
-	for vn := 0; vn < s.k; vn++ {
-		d := ctr.DeviceOf(vn)
-		up := d >= 0 && !r.devs[d].blackout
-		r.upVN[vn] = up
-		if !up && live {
-			rep.UnavailableCyclesPerVN[vn] += n
-		}
-	}
-	return scenario.SliceStats{
-		Util: r.utils, Delivered: r.delivered - sliceStart, Backlog: backlog,
-		Scrubs: installs, Updates: len(ctr.Pending()),
-		Recoveries: r.frep.MigrationsDone, DegradedVNs: len(ctr.Degraded()),
-		Avail: r.upVN,
-	}, nil
+	st := r.measure(n, live, from)
+	st.Util = r.utils
+	st.Scrubs, st.Updates = installs, len(ctr.Pending())
+	st.Recoveries, st.DegradedVNs = r.frep.MigrationsDone, len(ctr.Degraded())
+	return st, nil
 }
 
 // ---- runner ---------------------------------------------------------------
@@ -873,7 +677,7 @@ func (r *fleetRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) 
 func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (ScenarioReport, error) {
 	fs := spec.Fleet
 	r := &fleetRun{
-		s: s, spec: spec, gen: gen,
+		plane:      s.newPlane(gen, spec),
 		installing: map[*fleet.Migration]bool{},
 		mrec:       map[*fleet.Migration]int{},
 		cache:      map[string]*core.Router{},
@@ -934,18 +738,7 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	}
 	r.inj = inj
 
-	rep := &ScenarioReport{
-		Spec:                   spec.Raw,
-		Stressors:              spec.Stressors(),
-		Scheme:                 r.baseCfg.Scheme,
-		K:                      s.k,
-		SliceCycles:            spec.Slice,
-		OfferedPerVN:           make([]int64, s.k),
-		DeliveredPerVN:         make([]int64, s.k),
-		DroppedPerVN:           make([]int64, s.k),
-		UnavailableCyclesPerVN: make([]int64, s.k),
-	}
-	r.rep = rep
+	rep := r.rep
 	frep := &FleetReport{Devices: fs.Devices, Spares: fs.Spares}
 	r.frep = frep
 
@@ -974,14 +767,8 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 			return ScenarioReport{}, err
 		}
 		dev.router = rt
-		imgs := rt.Images()
-		dev.sims = make([]*pipeline.Sim, len(imgs))
-		dev.exits = make([][]fleetExit, len(imgs))
-		dev.rrNext = make([]int, len(imgs))
-		dev.utilCur = make([][2]int64, len(imgs))
-		for e, img := range imgs {
-			dev.sims[e] = pipeline.NewSim(img)
-			dev.sims[e].EnableParityCheck()
+		dev.serveRouter(rt, a.VNs)
+		for _, img := range rt.Images() {
 			r.maxWords += img.Words()
 		}
 		if dev.meter, err = r.newDeviceMeter(rt); err != nil {
@@ -992,16 +779,14 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 		r.engCnt[d] = len(design.Engines)
 	}
 
-	r.vnDynFJ = make([]int64, s.k)
-	r.devDynFJ = make([]int64, total)
-	r.devStaticFJ = make([]int64, total)
-	r.queues = make([][]fleetQueued, s.k)
-	r.dropVN = make([]*obs.Counter, s.k)
-	for vn := 0; vn < s.k; vn++ {
-		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fleet_drops.vn%02d", vn))
+	// The fleet meter charges nothing itself, so it needs no cost model: its
+	// engine axis is the device axis, which outlives migrations.
+	r.meter = &energy.Meter{
+		VNDynFJ:        make([]int64, s.k),
+		EngineDynFJ:    make([]int64, total),
+		DeviceStaticFJ: make([]int64, total),
 	}
 	r.utils = make([]float64, len(composite.Engines))
-	r.upVN = make([]bool, s.k)
 
 	for _, w := range inj.Brownouts() {
 		s.tel.Events.Log(obs.LevelWarn, w.Start, "brownout_window",
@@ -1031,9 +816,6 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
 
-	if r.delivered > 0 {
-		rep.MeanDelayCycles = r.delaySum / float64(r.delivered)
-	}
 	rep.Recovered = len(ctr.Degraded()) == 0 && !ctr.Outstanding()
 	rep.Completed = !r.Outstanding()
 	if (fleetStressor{r: r}).Outstanding() {
@@ -1066,34 +848,8 @@ func (s *System) runFleetScenario(gen *traffic.Generator, spec scenario.Spec) (S
 	}
 	rep.Fleet = frep
 
-	dyn := r.memFJ + r.clockFJ + r.ctrlFJ
-	var static int64
-	for _, fj := range r.devStaticFJ {
-		static += fj
+	if err := r.finish(r.meter); err != nil {
+		return ScenarioReport{}, err
 	}
-	bits := deliveredBits(r.delivered)
-	er := &energy.Report{
-		VNDynFJ:        r.vnDynFJ,
-		EngineDynFJ:    r.devDynFJ,
-		DeviceStaticFJ: r.devStaticFJ,
-		MemFJ:          r.memFJ,
-		ClockFJ:        r.clockFJ,
-		CtrlFJ:         r.ctrlFJ,
-		Lookups:        r.lookups,
-		Bubbles:        r.bubbles,
-		Words:          r.words,
-		Transitions:    r.transitions,
-		DeliveredBits:  bits,
-		DynJ:           float64(dyn) / 1e15,
-		StaticJ:        float64(static) / 1e15,
-	}
-	er.TotalJ = er.DynJ + er.StaticJ
-	if bits > 0 {
-		er.JPerBit = float64(dyn+static) / 1e15 / float64(bits)
-	}
-	rep.Energy = er
-	er.Publish()
-	obsPacketsResolved.Add(r.delivered)
-	obsLoadCycles.Add(rep.TrafficCycles)
 	return *rep, nil
 }

@@ -13,6 +13,13 @@
 // coordinator loop, telemetry threading and governor actuation; the runners
 // supply kernels (how a slice's cycles execute) and stressors (faults,
 // churn, chaos) through the engine's hook interface.
+//
+// RunScenario has one serving path (lane.go) for one device and for a
+// fleet alike: every lookup engine is a lane taking one packet per cycle
+// from the shared per-network ingress queues, and every exit is metered,
+// checked against its epoch's oracle and traced by the same code. The
+// single-device and fleet kernels differ only in which lanes exist and
+// which networks are down.
 package netsim
 
 import (
@@ -267,7 +274,6 @@ func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 		eng.Cycles = 1
 	}
 	eng.SliceCycles = eng.Cycles
-	eng.Truncate = true
 	eng.NoSeries = true
 	eng.Kernel = k
 	eng.Energy = k.meter

@@ -8,10 +8,11 @@ package netsim
 // one stressor. Each adversity source is a scenario.Stressor over shared
 // run state — faults registered before churn, so a scrub decision at a
 // boundary is visible to the same boundary's arm decision — and the kernel
-// is a sequential per-cycle loop: per-network Bernoulli arrivals
-// (probability from the load shape) wait in bounded ingress queues, each
-// engine injects one packet per cycle into a persistent parity-checking
-// simulator, and every exit is checked against the reference table of its
+// is a sequential per-cycle loop over the shared serving path of lane.go:
+// per-network Bernoulli arrivals (probability from the load shape) wait in
+// bounded ingress queues, each engine's lane injects one packet per cycle
+// into a persistent parity-checking simulator (after any pending write
+// bubble), and every exit is checked against the reference table of its
 // injection epoch. Because arrivals share one generator stream and all
 // control decisions run on the coordinator, the whole composed run is a
 // pure function of its seeds — byte-identical at any -j.
@@ -220,38 +221,14 @@ func (r *ScenarioReport) MeanUpdateLatencyCycles() float64 {
 	return sum / float64(len(r.Batches))
 }
 
-// queued is one packet waiting at an ingress queue.
-type queued struct {
-	req     pipeline.Request
-	vn      int
-	arrival int64
-	// seq is the packet's deterministic trace key (cyc*K + vn).
-	seq int64
-}
-
-// scenExit is one in-flight lookup's metadata: the network, the arrival
-// cycle (delay accounting), the trace seq, and the reference table of its
-// injection epoch.
-type scenExit struct {
-	vn      int
-	arrival int64
-	seq     int64
-	ref     *ip.Table
-	trace   bool
-}
-
-// scenEng is one engine's composed-run state: a persistent parity-checking
-// simulator, the fault lifecycle (engState over the serving image), the
-// armed-update lifecycle, and the in-flight FIFO.
+// scenEng is one engine's composed-run state: its serving lane, the fault
+// lifecycle (engState over the serving image) and the armed-update
+// lifecycle.
 type scenEng struct {
-	sim *pipeline.Sim
+	*lane
 	// fs is the fault lifecycle over the serving image (down/dead flags,
 	// sweep cursor, outstanding upsets, pending reload).
 	fs engState
-	// exit mirrors the sim's in-flight lookups in injection order.
-	exit []scenExit
-	// rrNext is the engine's round-robin pointer over its ingress queues.
-	rrNext int
 	// Armed hitless update: the handle to commit, the post-update oracle to
 	// swap in at the commit bubble, and the report record under
 	// construction.
@@ -265,19 +242,12 @@ type scenEng struct {
 	ch engChaos
 }
 
-// scenRun is the composed run's shared state: the kernel plus the state the
-// fault and churn stressors act on.
+// scenRun is the composed run's shared state: the serving plane plus the
+// state the fault and churn stressors act on.
 type scenRun struct {
-	s      *System
-	spec   scenario.Spec
-	gen    *traffic.Generator
-	scheme core.Scheme
+	*plane
 
 	engines []*scenEng
-	// queues[vn] is network vn's bounded ingress queue; refs[vn] its
-	// current-epoch oracle (flipped when a commit bubble enters).
-	queues [][]queued
-	refs   []*ip.Table
 
 	// mgr is the control plane for churn and (when churn is active) scrub
 	// rebuilds; nil without churn. in/scrubber drive faults; nil without.
@@ -292,33 +262,22 @@ type scenRun struct {
 	jrs []*ctrl.Journal
 	wd  *ctrl.Watchdog
 
-	rep   *ScenarioReport
 	gv    *scenario.GovRun
 	meter *energy.Meter
 
-	delaySum  float64
-	delivered int64
-	maxWords  int
+	maxWords int
 
 	// Per-slice measurement scratch.
-	utilCur     [][2]int64
 	utils       []float64
-	upVN        []bool
 	reloadFlags []bool
-	dropVN      []*obs.Counter
 }
 
-func (r *scenRun) engineOf(vn int) int { return r.s.engineOf(vn) }
-
-// flushExits drops an engine's in-flight lookups when it goes down: the
-// pipeline's contents are lost with the reload (or the corpse).
-func (r *scenRun) flushExits(e *scenEng) {
-	for _, m := range e.exit {
-		r.rep.DroppedPerVN[m.vn]++
-		r.dropVN[m.vn].Inc()
-		obsFaultDrops.Inc()
+// refresh recomputes the per-network verdict from the engines' fault state.
+func (r *scenRun) refresh() {
+	for vn, e := range r.home {
+		fs := &r.engines[e].fs
+		r.down[vn], r.dead[vn] = fs.down(), fs.dead
 	}
-	e.exit = e.exit[:0]
 }
 
 // commitUpdate finishes an engine's completed hitless update: the control
@@ -468,7 +427,7 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	if err := r.abortUpdate(e, b); err != nil {
 		return err
 	}
-	r.flushExits(e)
+	r.flush(e.lane)
 	// The journal's intent record lands before the first stage write.
 	r.chaosScrubBegin(eIdx, e, b)
 	res, err := r.scrubber.Scrub(f.rebuild(eIdx))
@@ -527,7 +486,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 				rep.Kill = &KillRecord{Engine: eIdx, Cycle: r.spec.Kill.Cycle, DetectedAt: -1, RepairedAt: -1}
 				tel.Events.Log(obs.LevelError, r.spec.Kill.Cycle, "engine_kill", "engine", eIdx)
 				// The kill takes the pipeline's contents with it.
-				r.flushExits(e)
+				r.flush(e.lane)
 			}
 		}
 		for eIdx, e := range r.engines {
@@ -605,12 +564,12 @@ func (c scenChurn) Boundary(b int64, _ bool) error {
 	if vn < 0 {
 		vn = r.started % r.s.k
 	}
-	target := r.engines[r.engineOf(vn)]
+	target := r.engines[r.home[vn]]
 	if target.fs.dead {
 		// The batch's engine is gone for good: abort rather than wait
 		// forever, so the run terminates.
 		rep.BatchesAborted++
-		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", r.engineOf(vn), "writes", 0)
+		tel.Events.Log(obs.LevelWarn, b, "update_abort", "vn", vn, "engine", r.home[vn], "writes", 0)
 		r.started++
 		return nil
 	}
@@ -666,92 +625,22 @@ func (c scenChurn) Outstanding() bool {
 
 // ---- kernel ---------------------------------------------------------------
 
-// Outstanding keeps the drain going while any live engine still has queued
-// or in-flight packets.
-func (r *scenRun) Outstanding() bool {
-	for vn := range r.queues {
-		if len(r.queues[vn]) > 0 && !r.engines[r.engineOf(vn)].fs.dead {
-			return true
-		}
-	}
-	for _, e := range r.engines {
-		if len(e.exit) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // RunSlice executes cycles [b, b+n): shaped Bernoulli arrivals into the
 // ingress queues (live slices only), then one service step per engine per
 // cycle — bubbles first, queued lookups second — all sequentially on the
 // coordinator.
 func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
-	s, gen, gv, rep := r.s, r.gen, r.gv, r.rep
-	tel := s.tel
-	tracing := tel.Tracing()
-	var winDelivered int64
+	gv := r.gv
+	r.refresh()
+	from := r.delivered
 	for cyc := b; cyc < b+n; cyc++ {
 		if live {
-			p := r.spec.Load.At(cyc, r.spec.Cycles)
-			for vn := 0; vn < s.k; vn++ {
-				if !gen.Bernoulli(p) {
-					continue
-				}
-				rep.OfferedPerVN[vn]++
-				eIdx := r.engineOf(vn)
-				if gv != nil && gv.AdmitArrival(vn, eIdx) {
-					rep.DroppedPerVN[vn]++
-					continue
-				}
-				// Seq is worker-independent: cycle-major, network-minor.
-				seq := cyc*int64(s.k) + int64(vn)
-				if r.engines[eIdx].fs.down() {
-					rep.DroppedPerVN[vn]++
-					r.dropVN[vn].Inc()
-					obsFaultDrops.Inc()
-					if tracing && tel.Sampler.Sample(vn, seq) {
-						// No address is drawn: a draw would shift the shared
-						// traffic stream, so traced runs would diverge.
-						tel.PutDropTrace(seq, vn, eIdx, cyc)
-					}
-					continue
-				}
-				if len(r.queues[vn]) >= r.spec.Queue {
-					rep.DroppedPerVN[vn]++
-					continue
-				}
-				pkt := gen.NextFor(vn)
-				reqVN := 0
-				if r.scheme == core.VM {
-					reqVN = vn
-				}
-				q := queued{
-					req:     pipeline.Request{Addr: pkt.Addr, VN: reqVN},
-					vn:      vn,
-					arrival: cyc,
-					seq:     seq,
-				}
-				if tracing {
-					q.req.Trace = tel.Sampler.Sample(vn, seq)
-				}
-				r.queues[vn] = append(r.queues[vn], q)
-			}
-			backlog := 0
-			for vn := range r.queues {
-				backlog += len(r.queues[vn])
-			}
-			if backlog > rep.BacklogPeak {
-				rep.BacklogPeak = backlog
-			}
+			r.arrive(cyc, gv)
 		}
 		// Service: one input slot per engine per cycle; write bubbles take
 		// the slot first, then the engine's queues round-robin.
 		for eIdx, e := range r.engines {
-			if e.fs.down() {
-				continue
-			}
-			if gv != nil && !gv.EngineServes(eIdx) {
+			if e.fs.down() || (gv != nil && !gv.EngineServes(eIdx)) {
 				continue
 			}
 			var res pipeline.Result
@@ -778,74 +667,21 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 				}
 			}
 			if !bubbled {
-				var req *pipeline.Request
-				for i := 0; i < s.k; i++ {
-					vn := (e.rrNext + i) % s.k
-					if r.engineOf(vn) != eIdx || len(r.queues[vn]) == 0 {
-						continue
-					}
-					q := r.queues[vn][0]
-					r.queues[vn] = r.queues[vn][1:]
-					req = &q.req
-					e.exit = append(e.exit, scenExit{
-						vn: q.vn, arrival: q.arrival, seq: q.seq,
-						ref: r.refs[q.vn], trace: q.req.Trace,
-					})
-					e.rrNext = (vn + 1) % s.k
-					break
-				}
-				res, done = e.sim.Inject(req)
+				res, done = r.serve(e.lane)
 			}
-			if done {
-				m := e.exit[0]
-				e.exit = e.exit[1:]
-				r.meter.Lookup(eIdx, m.vn, res.LastStage)
-				outcome := "forward"
-				switch {
-				case res.Faulted:
-					// Corruption read mid-lookup: drop, never misforward.
-					rep.FaultedLookups++
-					rep.DroppedPerVN[m.vn]++
-					r.dropVN[m.vn].Inc()
-					obsFaultDrops.Inc()
-					if e.fs.detectVia == "" {
-						e.fs.detectVia = ViaAccess
-					}
-					outcome = "drop-fault"
-				default:
-					want := m.ref.Lookup(res.Addr)
-					if res.NHI != want {
-						rep.Mismatches++
-						outcome = "mismatch"
-					} else {
-						rep.DeliveredPerVN[m.vn]++
-						winDelivered++
-						r.delaySum += float64(cyc - m.arrival)
-						if want == ip.NoRoute {
-							rep.NoRoute++
-							outcome = "noroute"
-						}
-					}
-				}
-				if m.trace {
-					tel.PutLookupTrace(m.seq, m.vn, eIdx, 0, res, res.EnterCycle-m.arrival, outcome)
-				}
+			if done && r.retire(e.lane, r.meter, res, cyc) && e.fs.detectVia == "" {
+				e.fs.detectVia = ViaAccess
 			}
 			if e.handle != nil && e.doneAt < 0 && !e.sim.Updating() {
 				e.doneAt = cyc
 			}
 		}
 	}
-	r.delivered += winDelivered
 
 	// Slice measurement for the telemetry row and the governor's sample.
-	backlog, updating, downEngines := 0, 0, 0
-	for vn := range r.queues {
-		backlog += len(r.queues[vn])
-	}
+	updating, downEngines := 0, 0
 	for eIdx, e := range r.engines {
-		r.utils[eIdx], r.utilCur[eIdx][0], r.utilCur[eIdx][1] =
-			scenario.UtilDelta(e.sim.Stats(), r.utilCur[eIdx][0], r.utilCur[eIdx][1])
+		r.utils[eIdx] = e.util()
 		if e.handle != nil {
 			updating++
 		}
@@ -854,20 +690,11 @@ func (r *scenRun) RunSlice(b, n int64, live bool) (scenario.SliceStats, error) {
 		}
 		r.reloadFlags[eIdx] = e.fs.reloading
 	}
-	for vn := 0; vn < s.k; vn++ {
-		down := r.engines[r.engineOf(vn)].fs.down()
-		r.upVN[vn] = !down
-		if down && live {
-			rep.UnavailableCyclesPerVN[vn] += n
-		}
-	}
-	recoveries, degradedVNs := r.chaosSliceStats()
-	return scenario.SliceStats{
-		Util: r.utils, Delivered: winDelivered, Backlog: backlog,
-		Scrubs: downEngines, Updates: updating,
-		Recoveries: recoveries, DegradedVNs: degradedVNs,
-		Avail: r.upVN, Reloading: r.reloadFlags,
-	}, nil
+	st := r.measure(n, live, from)
+	st.Util, st.Reloading = r.utils, r.reloadFlags
+	st.Scrubs, st.Updates = downEngines, updating
+	st.Recoveries, st.DegradedVNs = r.chaosSliceStats()
+	return st, nil
 }
 
 // RunScenario runs one composed scenario: the spec's load shape, fault
@@ -888,22 +715,11 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 		return ScenarioReport{}, fmt.Errorf("netsim: kill engine %d with %d engines", spec.Kill.Engine, len(s.router.Images()))
 	}
 
-	r := &scenRun{s: s, spec: spec, gen: gen, scheme: scheme, meter: s.meter()}
+	r := &scenRun{plane: s.newPlane(gen, spec), meter: s.meter()}
 	// The cycle loop runs on the coordinator, so the run meter can feed the
 	// per-lookup energy histogram without touching any worker hot path.
 	r.meter.ObserveHist = true
-	rep := &ScenarioReport{
-		Spec:                   spec.Raw,
-		Stressors:              spec.Stressors(),
-		Scheme:                 scheme,
-		K:                      s.k,
-		SliceCycles:            spec.Slice,
-		OfferedPerVN:           make([]int64, s.k),
-		DeliveredPerVN:         make([]int64, s.k),
-		DroppedPerVN:           make([]int64, s.k),
-		UnavailableCyclesPerVN: make([]int64, s.k),
-	}
-	r.rep = rep
+	rep := r.rep
 
 	// The serving images: the control plane's pinned compilation when churn
 	// is active (successive recompilations diff word-for-word), clones of
@@ -989,24 +805,24 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	r.gv = gv
 
 	r.engines = make([]*scenEng, len(images))
-	for e := range images {
-		sim := pipeline.NewSim(images[e])
-		sim.EnableParityCheck()
-		r.engines[e] = &scenEng{sim: sim, fs: engState{img: images[e], repairAt: -1}, doneAt: -1}
-		if w := images[e].Words(); w > r.maxWords {
+	for e, img := range images {
+		// A merged engine serves every network, a per-network engine its own.
+		vns := []int{e}
+		if scheme == core.VM {
+			vns = make([]int, s.k)
+			for vn := range vns {
+				vns[vn] = vn
+			}
+		}
+		r.engines[e] = &scenEng{lane: newLane(img, e, e, vns), fs: engState{img: img, repairAt: -1}, doneAt: -1}
+		if w := img.Words(); w > r.maxWords {
 			r.maxWords = w
 		}
 	}
-	r.queues = make([][]queued, s.k)
-	r.refs = make([]*ip.Table, s.k)
-	r.dropVN = make([]*obs.Counter, s.k)
-	for vn := 0; vn < s.k; vn++ {
-		r.refs[vn] = s.tables[vn].Reference()
-		r.dropVN[vn] = obs.NewCounter(fmt.Sprintf("netsim.fault_drops.vn%02d", vn))
+	for vn := range r.home {
+		r.home[vn] = s.engineOf(vn)
 	}
-	r.utilCur = make([][2]int64, len(images))
 	r.utils = make([]float64, len(images))
-	r.upVN = make([]bool, s.k)
 	r.reloadFlags = make([]bool, len(images))
 
 	maxDrain := 16 + 4*(r.maxWords/int(spec.Slice)+1)
@@ -1032,15 +848,14 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	rep.TrafficCycles = eng.TrafficCycles
 	rep.DrainCycles = eng.DrainCycles
 
-	if r.delivered > 0 {
-		rep.MeanDelayCycles = r.delaySum / float64(r.delivered)
-	}
 	rep.Recovered = true
 	for _, e := range r.engines {
 		if e.fs.down() || len(e.fs.outstanding) > 0 {
 			rep.Recovered = false
 		}
 	}
+	// The final boundary may have declared an engine dead.
+	r.refresh()
 	rep.Completed = !r.Outstanding()
 	for _, st := range stressors {
 		if st.Outstanding() {
@@ -1050,14 +865,9 @@ func (s *System) RunScenario(gen *traffic.Generator, spec scenario.Spec) (Scenar
 	if gv != nil {
 		rep.Governor = gv.Report()
 	}
-	er, err := r.meter.Report(deliveredBits(r.delivered))
-	if err != nil {
+	if err := r.finish(r.meter); err != nil {
 		return ScenarioReport{}, err
 	}
-	rep.Energy = er
-	er.Publish()
 	r.chaosFinalize()
-	obsPacketsResolved.Add(r.delivered)
-	obsLoadCycles.Add(rep.TrafficCycles)
 	return *rep, nil
 }

@@ -32,14 +32,19 @@ func mustParse(t *testing.T, spec string) scenario.Spec {
 func oneIn(k int) string { return strconv.FormatFloat(1/float64(k), 'g', -1, 64) }
 
 // checkConservation asserts per-network packet conservation on a run that
-// completed with every engine back in service: each offered packet was
-// delivered, dropped or counted as an oracle mismatch. A run that ends with
-// a dead engine strands that engine's queued packets, so it is exempt.
+// completed with every engine back in service. A run that ends with a dead
+// engine strands that engine's queued packets, so it is exempt.
 func checkConservation(t *testing.T, rep ScenarioReport) {
 	t.Helper()
-	if !rep.Completed || !rep.Recovered {
-		return
+	if rep.Completed && rep.Recovered {
+		checkBalance(t, rep)
 	}
+}
+
+// checkBalance asserts that each offered packet was delivered, dropped or
+// counted as an oracle mismatch.
+func checkBalance(t *testing.T, rep ScenarioReport) {
+	t.Helper()
 	var gap int64
 	for vn := range rep.OfferedPerVN {
 		d := rep.OfferedPerVN[vn] - rep.DeliveredPerVN[vn] - rep.DroppedPerVN[vn]

@@ -64,12 +64,10 @@ type Kernel interface {
 // Engine is one slice-quantized run: configuration plus the plumbing every
 // harness shares. Zero value is not usable; fill the struct and call Run.
 type Engine struct {
-	// Cycles is the offered-traffic window; SliceCycles the control-plane
-	// quantum. When Truncate is set the last slice is clipped to Cycles;
-	// otherwise the window is rounded up to whole slices.
+	// Cycles is the offered-traffic window, rounded up to whole slices of
+	// SliceCycles, the control-plane quantum.
 	Cycles      int64
 	SliceCycles int64
-	Truncate    bool
 	// MaxDrainSlices bounds the post-traffic drain in which stressors and
 	// the kernel finish outstanding work. Zero means no drain at all.
 	MaxDrainSlices int
@@ -226,30 +224,23 @@ func (e *Engine) Run() error {
 	S := e.SliceCycles
 	slices := (e.Cycles + S - 1) / S
 	e.TrafficCycles = slices * S
-	if e.Truncate {
-		e.TrafficCycles = e.Cycles
-	}
 	if !e.NoSeries {
 		e.Tel.InitSeries(e.K)
 	}
 
 	for t := int64(0); t < slices; t++ {
 		b := t * S
-		n := S
-		if e.Truncate && b+n > e.Cycles {
-			n = e.Cycles - b
-		}
 		if err := e.boundary(b, false); err != nil {
 			return err
 		}
-		if err := e.preSlice(b, n, false); err != nil {
+		if err := e.preSlice(b, S, false); err != nil {
 			return err
 		}
-		st, err := e.Kernel.RunSlice(b, n, true)
+		st, err := e.Kernel.RunSlice(b, S, true)
 		if err != nil {
 			return err
 		}
-		e.observe(b, n, st)
+		e.observe(b, S, st)
 	}
 
 	// Drain: no new traffic, but stressors and the kernel keep working

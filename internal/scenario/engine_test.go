@@ -100,21 +100,6 @@ func TestEngineRoundsUpToWholeSlices(t *testing.T) {
 	}
 }
 
-func TestEngineTruncateClipsLastSlice(t *testing.T) {
-	var log []string
-	k := &logKernel{log: &log}
-	e := Engine{Cycles: 25, SliceCycles: 10, Truncate: true, NoSeries: true, Kernel: k}
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if e.TrafficCycles != 25 {
-		t.Fatalf("traffic cycles %d, want 25 (truncated)", e.TrafficCycles)
-	}
-	if got := (*k.log)[len(*k.log)-1]; got != "run[20,+5,live=true]" {
-		t.Fatalf("last slice %q, want clipped to +5", got)
-	}
-}
-
 func TestEngineDrainBound(t *testing.T) {
 	var log []string
 	k := &logKernel{log: &log, outstanding: 100} // never finishes on its own
