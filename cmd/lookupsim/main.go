@@ -441,10 +441,6 @@ func dispatch(sys *netsim.System, gen *traffic.Generator, scheme core.Scheme, r 
 	return nil
 }
 
-// printGovernor renders a governor report: the headline control-law numbers
-// always, plus time-at-tier and per-VNID degradation when detailed. All
-// numbers come from the deterministic Report, so the output is byte-
-// identical at any -j.
 // printFleet renders the fleet stressor's section: per-device placement and
 // end state, the crash schedule, every migration's lifecycle (attempts,
 // retargets, MTTR), the degraded networks, and the post-install invariant
@@ -494,6 +490,10 @@ func printFleet(f *netsim.FleetReport) {
 	}
 }
 
+// printGovernor renders a governor report: the headline control-law numbers
+// always, plus time-at-tier and per-VNID degradation when detailed. All
+// numbers come from the deterministic Report, so the output is byte-
+// identical at any -j.
 func printGovernor(g *governor.Report, detailed bool) {
 	t := report.NewTable(
 		fmt.Sprintf("Power governor: cap %.2f W fleet / %.2f W device, lift cycle %d",

@@ -135,10 +135,6 @@ func (j *Journal) Records() []Record { return j.recs }
 // Stats returns the lifetime counters.
 func (j *Journal) Stats() JournalStats { return j.st }
 
-// Open returns the in-flight operation's token, or nil when the journal is
-// consistent (every begun operation committed or aborted).
-func (j *Journal) Open() *OpToken { return j.open }
-
 // Torn reports an operation stuck between intent and commit — the state
 // Recover resolves.
 func (j *Journal) Torn() bool { return j.open != nil }

@@ -8,7 +8,6 @@ package fleet
 
 import (
 	"fmt"
-	"sort"
 
 	"vrpower/internal/core"
 	"vrpower/internal/ctrl"
@@ -406,16 +405,4 @@ func (c *Controller) dropMigration(m *Migration) {
 			return
 		}
 	}
-}
-
-// ActiveDevices lists the devices serving traffic, ascending.
-func (c *Controller) ActiveDevices() []int {
-	var out []int
-	for d := range c.state {
-		if c.state[d] == DevActive {
-			out = append(out, d)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

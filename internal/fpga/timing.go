@@ -73,21 +73,6 @@ func DefaultClockTiers() []float64 {
 	return []float64{1, 0.8, 0.6, 0.45}
 }
 
-// TierMHz returns tier t's clock for a placed fmax, clamping t to the
-// ladder (negative picks tier 0, past-the-end picks the slowest tier).
-func TierMHz(fmaxMHz float64, tiers []float64, t int) float64 {
-	if len(tiers) == 0 {
-		return fmaxMHz
-	}
-	if t < 0 {
-		t = 0
-	}
-	if t >= len(tiers) {
-		t = len(tiers) - 1
-	}
-	return fmaxMHz * tiers[t]
-}
-
 // MinPacketBytes is the minimum packet size the paper uses to convert packet
 // rate to bandwidth (Section VI-B: 40-byte packets).
 const MinPacketBytes = 40

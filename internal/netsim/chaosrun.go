@@ -66,16 +66,30 @@ type ChaosReport struct {
 	// DegradedSlicesPerVN counts slices each network spent watchdog-degraded.
 	DegradedSlicesPerVN []int64
 	// Invariant-audit accounting: after every recovery the live image is
-	// replayed against the oracle. Faulted probes drop (allowed);
-	// Mismatches are drop-never-misforward violations and must be zero.
-	Audits          int
-	AuditProbes     int
-	AuditFaulted    int
-	AuditMismatches int
+	// replayed against the oracle.
+	AuditTally
 	// Journal totals across engines.
 	JournalBegun   int
 	JournalCommits int
 	JournalAborts  int
+}
+
+// AuditTally is invariant-audit accounting: each audit replays
+// oracle-known probes through a live image. Faulted probes drop (allowed);
+// AuditMismatches are drop-never-misforward violations and must be zero.
+type AuditTally struct {
+	Audits          int
+	AuditProbes     int
+	AuditFaulted    int
+	AuditMismatches int
+}
+
+// add accumulates one audit's verdict.
+func (a *AuditTally) add(res pipeline.AuditResult) {
+	a.Audits++
+	a.AuditProbes += res.Probes
+	a.AuditFaulted += res.Faulted
+	a.AuditMismatches += res.Mismatches
 }
 
 // MeanRecoveryCycles is the average fault-to-recovered latency.
@@ -473,11 +487,7 @@ func (c scenChaos) stallLadder(eIdx int, e *scenEng, b int64) {
 func (r *scenRun) auditLive(eIdx int, img *pipeline.Image, at int64) {
 	probes := r.auditProbesFor(eIdx)
 	res := pipeline.AuditImage(img, probes)
-	rep := r.rep.Chaos
-	rep.Audits++
-	rep.AuditProbes += res.Probes
-	rep.AuditFaulted += res.Faulted
-	rep.AuditMismatches += res.Mismatches
+	r.rep.Chaos.add(res)
 	level := obs.LevelInfo
 	if res.Mismatches > 0 {
 		level = obs.LevelError

@@ -170,9 +170,9 @@ func boolToInt(b bool) int {
 }
 
 func TestFleetFlagshipConserves(t *testing.T) {
-	// The fleet-smoke flagship: both actives crash in sequence, the spare
-	// takes the whole fleet, flaky installs retry and a brownout window
-	// paces one device.
+	// The lookupsim smoke table's fleet flagship: both actives crash in
+	// sequence, the spare takes the whole fleet, flaky installs retry and a
+	// brownout window paces one device.
 	rep := runFleet(t, 8,
 		"load=const:0.4,fleet=2:spare=1,chaos=devcrash:2+flaky:2+brownout:1,cycles=65536,queue=32,seed=2")
 	if !rep.Completed {

@@ -74,12 +74,8 @@ type FleetReport struct {
 	MigrationFailures int
 	MigrationsDone    int
 	SpareActivations  int
-	// Invariant-audit accounting over landed installs: faulted probes drop
-	// (allowed), mismatches are misforwards and must be zero.
-	Audits          int
-	AuditProbes     int
-	AuditFaulted    int
-	AuditMismatches int
+	// Invariant-audit accounting over landed installs.
+	AuditTally
 }
 
 // MeanMTTRCycles is the average crash-to-recovered latency over migrations
@@ -587,10 +583,7 @@ func (r *fleetRun) auditDevice(dev *fleetDev, m *fleet.Migration, vns []int, at 
 		probes = auditProbes(r.s.tables[m.VN], r.s.refs[m.VN], 0)
 	}
 	res := pipeline.AuditImage(img, probes)
-	r.frep.Audits++
-	r.frep.AuditProbes += res.Probes
-	r.frep.AuditFaulted += res.Faulted
-	r.frep.AuditMismatches += res.Mismatches
+	r.frep.add(res)
 	level := obs.LevelInfo
 	if res.Mismatches > 0 {
 		level = obs.LevelError

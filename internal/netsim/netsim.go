@@ -4,15 +4,15 @@
 // result is cross-checked against the per-network reference tables. It is
 // the correctness harness tying the whole system together.
 //
-// Two runners drive a router, both configurations of the slice-quantized
-// engine in internal/scenario: Forward (with its frame-level twin
+// Two runners drive a router. Forward (with its frame-level twin
 // ForwardFrames) resolves one closed batch of packets on the batched lookup
-// core, and RunScenario drives open-loop traffic through time under any
+// core. RunScenario drives open-loop traffic through time under any
 // composition of load shape, SEU faults, an engine kill, hitless churn,
-// control-plane chaos, a power cap or a device fleet. The engine owns the
-// coordinator loop, telemetry threading and governor actuation; the runners
-// supply kernels (how a slice's cycles execute) and stressors (faults,
-// churn, chaos) through the engine's hook interface.
+// control-plane chaos, a power cap or a device fleet, on the slice-quantized
+// engine in internal/scenario: the engine owns the coordinator loop,
+// telemetry threading and governor actuation, and RunScenario supplies the
+// kernel (how a slice's cycles execute) and stressors (faults, churn, chaos)
+// through the engine's hook interface.
 //
 // RunScenario has one serving path (lane.go) for one device and for a
 // fleet alike: every lookup engine is a lane taking one packet per cycle
@@ -95,16 +95,6 @@ func (s *System) engineOf(vn int) int {
 	return vn
 }
 
-// lowVN maps an engine to the lowest VNID it serves — where control-plane
-// energy on that engine (sweeps, reloads) is attributed. Per-engine schemes
-// serve network e from engine e; the merged engine charges network 0.
-func (s *System) lowVN(e int) int {
-	if s.router.Config().Scheme == core.VM {
-		return 0
-	}
-	return e
-}
-
 // meter builds a zeroed energy meter over this system's cost model.
 func (s *System) meter() *energy.Meter { return energy.NewMeter(s.emodel, s.k) }
 
@@ -143,20 +133,12 @@ type Report struct {
 	Energy *energy.Report
 }
 
-// forwardKernel is the one-shot batch kernel: the whole packet set runs as
-// a single slice — distribute per engine, simulate the disjoint request
-// slices on the worker pool, fold in engine order.
-type forwardKernel struct {
-	s     *System
-	pkts  []traffic.Packet
-	meter *energy.Meter
-	rep   Report
-}
-
-func (k *forwardKernel) Outstanding() bool { return false }
-
-func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error) {
-	s := k.s
+// Forward distributes the packets to the router's engines, simulates every
+// pipeline cycle-accurately, and verifies each resolved next hop against
+// the reference tables. The whole batch runs at once: distribute per
+// engine, simulate the disjoint request slices on the worker pool, fold in
+// engine order.
+func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
 	images := s.router.Images()
 	scheme := s.router.Config().Scheme
 
@@ -169,9 +151,9 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 	if tracing {
 		perEngineSeq = make([][]int64, len(images))
 	}
-	for i, p := range k.pkts {
+	for i, p := range pkts {
 		if p.VN < 0 || p.VN >= s.k {
-			return scenario.SliceStats{}, fmt.Errorf("netsim: packet VN %d outside [0,%d)", p.VN, s.k)
+			return Report{}, fmt.Errorf("netsim: packet VN %d outside [0,%d)", p.VN, s.k)
 		}
 		e, vn := 0, p.VN
 		if scheme != core.VM {
@@ -188,8 +170,8 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		perEngine[e] = append(perEngine[e], req)
 	}
 
-	k.rep = Report{
-		Packets:    len(k.pkts),
+	rep := Report{
+		Packets:    len(pkts),
 		PerEngine:  make([]pipeline.Stats, len(images)),
 		EngineLoad: make([]float64, len(images)),
 	}
@@ -248,46 +230,29 @@ func (k *forwardKernel) RunSlice(_, _ int64, _ bool) (scenario.SliceStats, error
 		return run, nil
 	})
 	if err != nil {
-		return scenario.SliceStats{}, err
-	}
-	for e, run := range runs {
-		if len(k.pkts) > 0 {
-			k.rep.EngineLoad[e] = float64(len(perEngine[e])) / float64(len(k.pkts))
-		}
-		k.rep.PerEngine[e] = run.st
-		k.rep.Mismatches += run.mismatches
-		k.rep.NoRoute += run.noRoute
-		k.meter.Fold(run.em)
-	}
-	return scenario.SliceStats{}, nil
-}
-
-// Forward distributes the packets to the router's engines, simulates every
-// pipeline cycle-accurately, and verifies each resolved next hop against
-// the reference tables.
-func (s *System) Forward(pkts []traffic.Packet) (Report, error) {
-	k := &forwardKernel{s: s, pkts: pkts, meter: s.meter()}
-	eng := s.engine()
-	// The whole batch is one slice; there is no slice clock, so no series.
-	eng.Cycles = int64(len(pkts))
-	if eng.Cycles == 0 {
-		eng.Cycles = 1
-	}
-	eng.SliceCycles = eng.Cycles
-	eng.NoSeries = true
-	eng.Kernel = k
-	eng.Energy = k.meter
-	if err := eng.Run(); err != nil {
 		return Report{}, err
 	}
-	er, err := k.meter.Report(deliveredBits(int64(len(pkts))))
+	meter := s.meter()
+	for e, run := range runs {
+		if len(pkts) > 0 {
+			rep.EngineLoad[e] = float64(len(perEngine[e])) / float64(len(pkts))
+		}
+		rep.PerEngine[e] = run.st
+		rep.Mismatches += run.mismatches
+		rep.NoRoute += run.noRoute
+		meter.Fold(run.em)
+	}
+	// The batch has no slice clock: leakage is integrated over one cycle
+	// per packet at full rate.
+	meter.StaticSlice(max(int64(len(pkts)), 1), 1)
+	er, err := meter.Report(deliveredBits(int64(len(pkts))))
 	if err != nil {
 		return Report{}, err
 	}
-	k.rep.Energy = er
+	rep.Energy = er
 	er.Publish()
 	obsPacketsResolved.Add(int64(len(pkts)))
-	return k.rep, nil
+	return rep, nil
 }
 
 // FrameReport summarises a frame-level forwarding run: the full data plane

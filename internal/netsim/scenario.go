@@ -445,7 +445,7 @@ func (f scenFaults) startScrub(eIdx int, e *scenEng, b int64) error {
 	fs.repairAt = b + res.LatencyCycles
 	// The reload rewrites every diffed word: control-plane energy on the
 	// engine, attributed to its lowest served network.
-	r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(res.Writes))
+	r.meter.AddWords(eIdx, e.vns[0], int64(res.Writes))
 	tel.Events.Log(obs.LevelInfo, b, "scrub_reload",
 		"engine", eIdx, "attempts", res.Attempts, "writes", res.Writes,
 		"latency_cycles", res.LatencyCycles, "ready_at", fs.repairAt)
@@ -504,7 +504,7 @@ func (f scenFaults) PreSlice(b, n int64, draining bool) error {
 			continue
 		}
 		scanned, hit := e.fs.sweepStep(int(n))
-		r.meter.AddWords(eIdx, r.s.lowVN(eIdx), int64(scanned))
+		r.meter.AddWords(eIdx, e.vns[0], int64(scanned))
 		if hit && e.fs.detectVia == "" {
 			e.fs.detectVia = ViaSweep
 		}

@@ -246,12 +246,13 @@ func TestScenarioInvalidOnSystem(t *testing.T) {
 	}
 }
 
-// TestScenarioSEUAfterBankFlipRepaired runs the scenario-smoke spec on the
-// lookupsim default system (1000 prefixes, seed 1, routed traffic from seed
-// 2). Two of its upsets land on an engine after that engine's commit bubble
-// flipped the bank but before the boundary that repoints the fault state at
-// the new image: each must still be detected and repaired, so the run
-// recovers and drains instead of hitting its bound.
+// TestScenarioSEUAfterBankFlipRepaired runs the spec of the lookupsim smoke
+// table's scenario case on the lookupsim default system (1000 prefixes,
+// seed 1, routed traffic from seed 2). Two of its upsets land on an engine
+// after that engine's commit bubble flipped the bank but before the
+// boundary that repoints the fault state at the new image: each must still
+// be detected and repaired, so the run recovers and drains instead of
+// hitting its bound.
 func TestScenarioSEUAfterBankFlipRepaired(t *testing.T) {
 	const k = 3
 	set, err := rib.GenerateVirtualSet(k, 1000, 0.5, 1)

@@ -196,20 +196,6 @@ func (d SystemDesign) TotalBlocks() (total, maxPerStage int) {
 	return total, maxPerStage
 }
 
-// TotalDistRAMBits returns the distributed-RAM demand in bits, rounded up
-// to 64-bit LUT quanta per stage.
-func (d SystemDesign) TotalDistRAMBits() int64 {
-	var total int64
-	for _, e := range d.Engines {
-		for _, bits := range e.StageBits {
-			if d.usesDistRAM(bits) {
-				total += (bits + DistRAMQuantumBits - 1) / DistRAMQuantumBits * DistRAMQuantumBits
-			}
-		}
-	}
-	return total
-}
-
 // MilliwattsPerGbps is the paper's efficiency metric (Section VI-B): power
 // per unit of worst-case lookup bandwidth at 40-byte packets.
 func MilliwattsPerGbps(totalWatts, gbps float64) float64 {

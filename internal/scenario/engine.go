@@ -1,11 +1,11 @@
-// Package scenario is the slice-quantized run engine behind the netsim
-// runners (the one-shot Forward batch and the composed RunScenario) and the
-// spec grammar that configures a composed run. It owns the coordinator loop
-// (traffic slices, then a bounded drain, then a final boundary), telemetry
-// threading (one unified series row per slice, flight traces, events), and
-// governor actuation (slice-grain observe, deterministic pacer actuation),
-// while pluggable stressors and a per-run kernel supply the run-specific
-// behaviour through a small hook surface.
+// Package scenario is the slice-quantized run engine behind netsim's
+// composed RunScenario (one device or a device fleet) and the spec grammar
+// that configures it. It owns the coordinator loop (traffic slices, then a
+// bounded drain, then a final boundary), telemetry threading (one unified
+// series row per slice, flight traces, events), and governor actuation
+// (slice-grain observe, deterministic pacer actuation), while pluggable
+// stressors and a per-run kernel supply the run-specific behaviour through
+// a small hook surface.
 //
 // Determinism: every control decision (stressor hooks, governor observe,
 // telemetry rows) runs on the coordinating goroutine; kernels may fan
@@ -93,10 +93,6 @@ type Engine struct {
 	Stressors []Stressor
 	Kernel    Kernel
 
-	// NoSeries suppresses series initialisation and slice rows (the batch
-	// Forward path, which has no slice clock).
-	NoSeries bool
-
 	// TrafficCycles and DrainCycles are filled in by Run.
 	TrafficCycles int64
 	DrainCycles   int64
@@ -153,9 +149,6 @@ func (e *Engine) observe(b, n int64, st SliceStats) {
 			jPerBit = float64(dDyn+dStatic) / 1e15 /
 				(float64(st.Delivered) * fpga.MinPacketBytes * 8)
 		}
-	}
-	if e.NoSeries {
-		return
 	}
 	e.Tel.AppendSlice(e.K, b, powerW, SliceGbps(e.FmaxMHz, st.Delivered, n), st.Backlog,
 		st.Scrubs, st.Updates, st.Recoveries, st.DegradedVNs, capW, rung,
@@ -224,9 +217,7 @@ func (e *Engine) Run() error {
 	S := e.SliceCycles
 	slices := (e.Cycles + S - 1) / S
 	e.TrafficCycles = slices * S
-	if !e.NoSeries {
-		e.Tel.InitSeries(e.K)
-	}
+	e.Tel.InitSeries(e.K)
 
 	for t := int64(0); t < slices; t++ {
 		b := t * S
