@@ -4,7 +4,7 @@
 #   make bench      = every benchmark with allocation counts
 GO ?= go
 
-.PHONY: all build test race fuzz-smoke fuzz-batch-smoke vet fmt-check vuln bench bench-gate bench-baseline
+.PHONY: all build test race fuzz-smoke fuzz-batch-smoke vet fmt-check vuln bench bench-build bench-gate bench-baseline
 
 all: build test
 
@@ -52,6 +52,12 @@ vuln:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Compile and vet the end-to-end benchmark harness. scenbench is its own
+# module (replace vrpower => ../), so `go build ./...` never compiles it; a
+# repo API change that breaks the harness fails here instead.
+bench-build:
+	cd scenbench && $(GO) vet .
 
 # The gated benchmarks: the batched headline lookup bench and its scalar
 # oracle reference. -count=3 with benchgate's min-per-name sheds scheduler

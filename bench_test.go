@@ -262,8 +262,9 @@ func BenchmarkAblationNHILayout(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSimExec compares the cycle-loop simulator against the
-// goroutine-per-stage channel pipeline on the same lookup stream.
+// BenchmarkAblationSimExec compares the two lookup cores on the same
+// stream: the cycle-accurate Sim (one register shift per cycle) against the
+// batched BatchSim (per-stage sweeps over the flat snapshot).
 func BenchmarkAblationSimExec(b *testing.B) {
 	set, err := vrpower.GenerateVirtualSet(4, 1000, 0.5, 5)
 	if err != nil {
@@ -306,13 +307,6 @@ func BenchmarkAblationSimExec(b *testing.B) {
 			if res, _, err = sim.RunAppend(res[:0], reqs, 1); err != nil {
 				b.Fatal(err)
 			}
-		}
-		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
-	})
-	b.Run("channels", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			vrpower.RunConcurrent(img, reqs)
 		}
 		b.ReportMetric(float64(len(reqs))*float64(b.N)/b.Elapsed().Seconds(), "lookups/s")
 	})

@@ -58,22 +58,26 @@ func MemoryDemand(cfg Config, prof TableProfile, alpha float64) (ptrBits, nhiBit
 	if alpha < 0 || alpha > 1 {
 		return 0, 0, fmt.Errorf("core: alpha %g outside [0,1]", alpha)
 	}
-	l := cfg.Layout
-	switch cfg.Scheme {
-	case NV, VS:
-		for _, lv := range prof.PerLevel {
-			ptrBits += int64(cfg.K) * int64(lv.Internal) * 2 * int64(l.PtrBits)
-			nhiBits += int64(cfg.K) * int64(lv.Leaves) * int64(l.NHIBits)
-		}
-	case VM:
-		for _, lv := range prof.PerLevel {
-			mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-			ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-			ptrBits += int64(mi * 2 * float64(l.PtrBits))
-			nhiBits += int64(ml * float64(cfg.K) * float64(l.NHIBits))
-		}
+	engines := int64(engineCount(cfg.Scheme, cfg.K))
+	for _, lv := range prof.PerLevel {
+		p, n := analyticLevelBits(cfg, lv, alpha)
+		ptrBits += engines * p
+		nhiBits += engines * n
 	}
 	return ptrBits, nhiBits, nil
+}
+
+// analyticLevelBits is one engine's pointer and NHI memory for profile level
+// lv: the table's own level for an NV/VS engine, and for the VM engine the
+// K tables' level merged by the sharing model, each merged leaf carrying a
+// K-wide NHI vector.
+func analyticLevelBits(cfg Config, lv trie.Level, alpha float64) (ptr, nhi int64) {
+	if cfg.Scheme != VM {
+		return levelBits(cfg.Layout, lv, 1)
+	}
+	mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
+	ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
+	return int64(mi * 2 * float64(cfg.Layout.PtrBits)), int64(ml * float64(cfg.K) * float64(cfg.Layout.NHIBits))
 }
 
 // BuildAnalytic constructs a router from the analytic memory model instead
@@ -83,31 +87,19 @@ func MemoryDemand(cfg Config, prof TableProfile, alpha float64) (ptrBits, nhiBit
 // how the paper parameterises merging by α directly because "merging
 // efficiency cannot be determined in advance" (Section V-E).
 func BuildAnalytic(cfg Config, prof TableProfile, alpha float64) (*Router, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	ptrBits, nhiBits, err := MemoryDemand(cfg, prof, alpha)
+	if err != nil {
 		return nil, err
 	}
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("core: alpha %g outside [0,1]", alpha)
+	cfg = cfg.withDefaults()
+	bits := make([]int64, len(prof.PerLevel))
+	for level, lv := range prof.PerLevel {
+		p, n := analyticLevelBits(cfg, lv, alpha)
+		bits[level] = p + n
 	}
-	l := cfg.Layout
 	var sm trie.StageMap
-	var err error
 	if cfg.Balanced {
-		bits := make([]int64, len(prof.PerLevel))
-		for level, lv := range prof.PerLevel {
-			nhiWidth := int64(1)
-			if cfg.Scheme == VM {
-				// Balanced partitioning sees the merged per-level memory.
-				mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-				ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-				bits[level] = int64(mi*2*float64(l.PtrBits)) +
-					int64(ml*float64(cfg.K)*float64(l.NHIBits))
-				continue
-			}
-			bits[level] = int64(lv.Internal)*2*int64(l.PtrBits) +
-				int64(lv.Leaves)*nhiWidth*int64(l.NHIBits)
-		}
+		// Balanced partitioning sees the engine's per-level memory.
 		sm, err = trie.NewBalancedStageMap(cfg.Stages, bits)
 	} else {
 		sm, err = trie.NewStageMap(cfg.Stages, prof.Height)
@@ -115,37 +107,16 @@ func BuildAnalytic(cfg Config, prof TableProfile, alpha float64) (*Router, error
 	if err != nil {
 		return nil, err
 	}
-
-	var engines []power.EngineDesign
-	var ptrBits, nhiBits int64
-	switch cfg.Scheme {
-	case NV, VS:
-		stageBits := make([]int64, cfg.Stages)
-		for level, lv := range prof.PerLevel {
-			bits := int64(lv.Internal)*2*int64(l.PtrBits) + int64(lv.Leaves)*int64(l.NHIBits)
-			stageBits[sm.Stage(level)] += bits
-			ptrBits += int64(cfg.K) * int64(lv.Internal) * 2 * int64(l.PtrBits)
-			nhiBits += int64(cfg.K) * int64(lv.Leaves) * int64(l.NHIBits)
+	stageBits := make([]int64, cfg.Stages)
+	for level, b := range bits {
+		stageBits[sm.Stage(level)] += b
+	}
+	engines := make([]power.EngineDesign, engineCount(cfg.Scheme, cfg.K))
+	for i := range engines {
+		engines[i] = power.EngineDesign{
+			StageBits:   stageBits,
+			Utilization: engineUtilization(cfg.Scheme, cfg.K),
 		}
-		engines = make([]power.EngineDesign, cfg.K)
-		for i := range engines {
-			engines[i] = power.EngineDesign{
-				StageBits:   stageBits,
-				Utilization: engineUtilization(cfg.Scheme, cfg.K),
-			}
-		}
-	case VM:
-		stageBits := make([]int64, cfg.Stages)
-		for level, lv := range prof.PerLevel {
-			mi := merge.AnalyticNodes(cfg.K, float64(lv.Internal), alpha)
-			ml := merge.AnalyticNodes(cfg.K, float64(lv.Leaves), alpha)
-			pb := int64(mi * 2 * float64(l.PtrBits))
-			nb := int64(ml * float64(cfg.K) * float64(l.NHIBits))
-			stageBits[sm.Stage(level)] += pb + nb
-			ptrBits += pb
-			nhiBits += nb
-		}
-		engines = []power.EngineDesign{{StageBits: stageBits, Utilization: 1}}
 	}
 	r, err := assemble(cfg, engines)
 	if err != nil {

@@ -32,7 +32,7 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 			var img *pipeline.Image
 			var err error
 			if cfg.Balanced {
-				sm, serr := balancedMap(cfg, trieLevelBits(cfg, tr.Stats().PerLevel, 1))
+				sm, serr := trie.NewBalancedStageMap(cfg.Stages, perLevelBits(cfg.Layout, tr.Stats().PerLevel, 1))
 				if serr != nil {
 					return nil, serr
 				}
@@ -53,7 +53,7 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 		m.LeafPush()
 		var img *pipeline.Image
 		if cfg.Balanced {
-			sm, serr := balancedMap(cfg, mergedLevelBits(cfg, m.Stats().PerLevel, m.K()))
+			sm, serr := trie.NewBalancedStageMap(cfg.Stages, perLevelBits(cfg.Layout, m.Stats().PerLevel, m.K()))
 			if serr != nil {
 				return nil, serr
 			}
@@ -88,30 +88,30 @@ func Build(cfg Config, tables []*rib.Table) (*Router, error) {
 	return r, nil
 }
 
-// trieLevelBits sizes each trie level under the configured layout with a
-// k-wide NHI at leaves.
-func trieLevelBits(cfg Config, perLevel []trie.Level, k int) []int64 {
+// levelBits is the stage-memory formula for one trie level: two child
+// pointers per internal node and a k-wide NHI vector per leaf.
+func levelBits(l pipeline.MemLayout, lv trie.Level, k int) (ptr, nhi int64) {
+	return int64(lv.Internal) * 2 * int64(l.PtrBits), int64(lv.Leaves) * int64(k) * int64(l.NHIBits)
+}
+
+// perLevelBits sizes every level of a trie with k-wide leaves: the input to
+// the balanced (min-max memory) stage partition.
+func perLevelBits(l pipeline.MemLayout, perLevel []trie.Level, k int) []int64 {
 	bits := make([]int64, len(perLevel))
-	for lv, l := range perLevel {
-		bits[lv] = int64(l.Internal)*2*int64(cfg.Layout.PtrBits) +
-			int64(l.Leaves)*int64(k)*int64(cfg.Layout.NHIBits)
+	for i, lv := range perLevel {
+		ptr, nhi := levelBits(l, lv, k)
+		bits[i] = ptr + nhi
 	}
 	return bits
 }
 
-// mergedLevelBits is trieLevelBits for the merged trie's level type.
-func mergedLevelBits(cfg Config, perLevel []merge.Level, k int) []int64 {
-	bits := make([]int64, len(perLevel))
-	for lv, l := range perLevel {
-		bits[lv] = int64(l.Internal)*2*int64(cfg.Layout.PtrBits) +
-			int64(l.Leaves)*int64(k)*int64(cfg.Layout.NHIBits)
+// engineCount returns the number of lookup engines a scheme builds for k
+// networks: one per network for NV and VS, one shared engine for VM.
+func engineCount(s Scheme, k int) int {
+	if s == VM {
+		return 1
 	}
-	return bits
-}
-
-// balancedMap builds the min-max memory partition over the levels.
-func balancedMap(cfg Config, levelBits []int64) (trie.StageMap, error) {
-	return trie.NewBalancedStageMap(cfg.Stages, levelBits)
+	return k
 }
 
 // engineUtilization returns µ for one engine under Assumption 1: NV and VS

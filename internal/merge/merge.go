@@ -182,12 +182,9 @@ type Stats struct {
 	PerLevel []Level
 }
 
-// Level holds per-level merged node counts.
-type Level struct {
-	Nodes    int
-	Leaves   int
-	Internal int
-}
+// Level holds per-level merged node counts, in the source tries' per-level
+// shape.
+type Level = trie.Level
 
 // Stats walks the merged trie. Note that nodes created by leaf pushing have
 // Present == 0 (they exist in no source trie); they count toward Nodes but

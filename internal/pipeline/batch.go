@@ -74,7 +74,7 @@ func (sc *batchScratch) ensure(n int) {
 // BatchSim does not model hitless updates or write bubbles; engines with an
 // update in flight stay on the scalar Sim, the cycle-accurate oracle.
 type BatchSim struct {
-	flat    *FlatImage
+	flat    *flatImage
 	nStages int
 	parity  bool
 	now     int64
@@ -83,23 +83,16 @@ type BatchSim struct {
 }
 
 // NewBatchSim flattens img and returns a batched engine over the snapshot.
-func NewBatchSim(img *Image) *BatchSim { return NewBatchSimFlat(Flatten(img)) }
-
-// NewBatchSimFlat returns a batched engine over an existing flat image
-// (several engines may share one snapshot; the engine never mutates it).
-func NewBatchSimFlat(flat *FlatImage) *BatchSim {
+func NewBatchSim(img *Image) *BatchSim {
 	return &BatchSim{
-		flat:    flat,
-		nStages: flat.Stages(),
-		st: Stats{
-			StageActive:   make([]int64, flat.Stages()),
-			StageOccupied: make([]int64, flat.Stages()),
-		},
+		flat:    flatten(img),
+		nStages: len(img.Stages),
+		st:      newStats(len(img.Stages)),
 	}
 }
 
 // EnableParityCheck turns on per-access parity verification, matching
-// Sim.EnableParityCheck. The verdict per word was precomputed at Flatten
+// Sim.EnableParityCheck. The verdict per word was precomputed at flatten
 // time, so the check is a single bit test instead of a parity recompute.
 func (b *BatchSim) EnableParityCheck() { b.parity = true }
 
@@ -112,13 +105,7 @@ func (b *BatchSim) Stats() Stats { return b.st }
 // not construction.
 func (b *BatchSim) Reset() {
 	b.now = 0
-	b.st.Cycles, b.st.Lookups, b.st.Bubbles, b.st.Faults = 0, 0, 0, 0
-	for i := range b.st.StageActive {
-		b.st.StageActive[i] = 0
-	}
-	for i := range b.st.StageOccupied {
-		b.st.StageOccupied[i] = 0
-	}
+	b.st.reset()
 }
 
 // Run feeds the requests through the engine, one per interarrival cycles,
@@ -140,13 +127,7 @@ func (b *BatchSim) RunAppend(dst []Result, reqs []Request, interarrival int) ([]
 	out := dst[base:]
 	g := int64(interarrival)
 	startFaults := b.st.Faults // sweepChunk bumps b.st in place; snapshot first
-	for chunk := 0; chunk < len(reqs); chunk += batchFlights {
-		m := len(reqs) - chunk
-		if m > batchFlights {
-			m = batchFlights
-		}
-		b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], &b.scratch, &b.st, b.now+int64(chunk)*g, g)
-	}
+	b.sweepChunks(reqs, out, &b.scratch, &b.st, b.now, g)
 	b.finish(len(out), g, startFaults)
 	return dst, b.st, nil
 }
@@ -182,13 +163,7 @@ func (b *BatchSim) RunSharded(reqs []Request) ([]Result, Stats, error) {
 		d := delta{active: make([]int64, b.nStages)}
 		var sc batchScratch
 		st := Stats{StageActive: d.active}
-		for chunk := lo; chunk < hi; chunk += batchFlights {
-			m := hi - chunk
-			if m > batchFlights {
-				m = batchFlights
-			}
-			b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], &sc, &st, b.now+int64(chunk), 1)
-		}
+		b.sweepChunks(reqs[lo:hi], out[lo:hi], &sc, &st, b.now+int64(lo), 1)
 		d.faults = st.Faults
 		return d, nil
 	})
@@ -224,6 +199,16 @@ func (b *BatchSim) finish(n int, g int64, startFaults int64) {
 	obsLookups.Add(int64(n))
 	obsCycles.Add(steps)
 	obsFaults.Add(b.st.Faults - startFaults)
+}
+
+// sweepChunks resolves reqs into out in batchFlights-sized chunks, request i
+// entering at cycle enter0 + i·g. RunAppend and each RunSharded shard drive
+// the sweep through it.
+func (b *BatchSim) sweepChunks(reqs []Request, out []Result, sc *batchScratch, st *Stats, enter0, g int64) {
+	for chunk := 0; chunk < len(reqs); chunk += batchFlights {
+		m := min(len(reqs)-chunk, batchFlights)
+		b.sweepChunk(reqs[chunk:chunk+m], out[chunk:chunk+m], sc, st, enter0+int64(chunk)*g, g)
+	}
 }
 
 // sweepChunk resolves one batch of requests: untraced flights are loaded
@@ -273,7 +258,7 @@ func (b *BatchSim) sweepChunk(reqs []Request, out []Result, sc *batchScratch, st
 		st.StageActive[s] += int64(nLive)
 		fs := &b.flat.stages[s]
 		// Reslicing child to meta's length lets one idx<len(meta) test prove
-		// both accesses in bounds (Flatten builds them the same length).
+		// both accesses in bounds (flatten builds them the same length).
 		meta := fs.meta
 		child := fs.child[:len(meta)]
 		// Level-major sweep: every unresolved flight in this stage performs

@@ -285,7 +285,10 @@ func TestBatchedEmptyRunDrains(t *testing.T) {
 }
 
 // TestLookupMatchesSimulator pins the stateless Lookup walk and the bulk
-// Lookups batch to the cycle-accurate oracle.
+// Lookups batch to the cycle-accurate oracle, on a pristine merged image and
+// on one whose child pointers escape the stage address ranges (parity
+// re-stamped, so only the range check catches them), and pins Lookup's
+// zero allocations.
 func TestLookupMatchesSimulator(t *testing.T) {
 	img := compileMerged(t, 3, 400, 71, 28)
 	rng := rand.New(rand.NewSource(72))
@@ -303,10 +306,46 @@ func TestLookupMatchesSimulator(t *testing.T) {
 			t.Fatalf("Lookups[%d] = %d, simulator says %d", i, bulk[i], want[i].NHI)
 		}
 	}
+	if allocs := testing.AllocsPerRun(100, func() { Lookup(img, reqs[0]) }); allocs != 0 {
+		t.Errorf("Lookup allocates %.1f objects/op, want 0", allocs)
+	}
+
+	faulty := compileSingle(t, genTable(t, 400, 73), 28)
+	n := 0
+	for s := range faulty.Stages {
+		for i := range faulty.Stages[s].Entries {
+			e := &faulty.Stages[s].Entries[i]
+			if !e.Leaf && i%13 == 0 {
+				e.Child[1] = 1 << 29
+				e.Parity = e.DataParity()
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no internal entries corrupted")
+	}
+	reqs = randReqs(rng, 2000, 1, 0)
+	want, _, err = NewSim(faulty).Run(reqs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faulted := 0
+	for i, req := range reqs {
+		if got := Lookup(faulty, req); got != want[i].NHI {
+			t.Fatalf("faulted image: Lookup(%s) = %d, simulator says %d", req.Addr, got, want[i].NHI)
+		}
+		if want[i].Faulted {
+			faulted++
+		}
+	}
+	if faulted == 0 {
+		t.Error("no lookup crossed a corrupted pointer; weaken the test")
+	}
 }
 
-// TestFlattenSnapshotsImage: mutating the source image after Flatten must
-// not leak into the flat snapshot.
+// TestFlattenSnapshotsImage: mutating the source image after NewBatchSim
+// must not leak into the engine's flat snapshot.
 func TestFlattenSnapshotsImage(t *testing.T) {
 	img := compileSingle(t, genTable(t, 200, 81), 16)
 	batched := NewBatchSim(img)

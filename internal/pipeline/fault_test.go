@@ -136,10 +136,9 @@ func TestParityCheckOffStillBoundsChecks(t *testing.T) {
 	if st.Faults == 0 {
 		t.Error("Stats.Faults not bumped on out-of-range pointer")
 	}
-	// The concurrent runner must survive it too.
-	cres := RunConcurrent(img, []Request{{Addr: 0x01020304}})
-	if cres[0].NHI != ip.NoRoute {
-		t.Errorf("RunConcurrent on corrupt image NHI = %d, want NoRoute", cres[0].NHI)
+	// The stateless probe must survive it too.
+	if got := Lookup(img, Request{Addr: 0x01020304}); got != ip.NoRoute {
+		t.Errorf("Lookup on corrupt image NHI = %d, want NoRoute", got)
 	}
 }
 

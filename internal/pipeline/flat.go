@@ -3,7 +3,7 @@ package pipeline
 import "vrpower/internal/ip"
 
 // Flat image: the struct-of-arrays compile of an Image that the batched
-// engine sweeps. The pointer-rich Entry records (≈56 bytes each, with the
+// engine sweeps, private to BatchSim. The pointer-rich Entry records (≈56 bytes each, with the
 // NHI vector behind a slice header and the parity bit recomputed on every
 // checked access) are flattened once into contiguous per-stage word slices:
 //
@@ -19,8 +19,8 @@ import "vrpower/internal/ip"
 // A stage access then touches two small parallel slices instead of a wide
 // struct, and the parity comparison — a popcount loop over the NHI vector in
 // the scalar path — collapses to a single precomputed bit. The flat image is
-// a snapshot: it reflects the Image at Flatten time, so fault injection that
-// mutates the source Image afterwards is invisible until re-flattened (the
+// a snapshot: it reflects the Image at NewBatchSim time, so fault injection
+// that mutates the source Image afterwards is invisible to that engine (the
 // batched engine is the pristine-image fast path; faulted engines keep the
 // scalar oracle).
 //
@@ -32,7 +32,7 @@ const (
 	metaLevelMask uint16 = 0x3F   // trie level (leaves) / 31-level shift (internal)
 	metaShiftMask uint16 = 0x1F   // internal-node shift amount, provably < 32
 	metaLeaf      uint16 = 1 << 6 // entry resolves the lookup
-	metaParityBad uint16 = 1 << 7 // stored parity ≠ data parity at Flatten time
+	metaParityBad uint16 = 1 << 7 // stored parity ≠ data parity at flatten time
 	metaFold      uint16 = 1 << 8 // child level maps to this same stage
 )
 
@@ -48,19 +48,18 @@ type flatStage struct {
 	visits int
 }
 
-// FlatImage is a data-oriented snapshot of a compiled Image, built once and
-// shared by any number of batched engines (it is immutable after Flatten).
-type FlatImage struct {
+// flatImage is a data-oriented snapshot of a compiled Image, immutable once
+// built.
+type flatImage struct {
 	stages []flatStage
 	nhi    []ip.NextHop
-	k      int
 }
 
-// Flatten builds the struct-of-arrays snapshot of img. The source image is
+// flatten builds the struct-of-arrays snapshot of img. The source image is
 // not retained; mutating it afterwards (FlipBit) does not affect the flat
 // image.
-func Flatten(img *Image) *FlatImage {
-	f := &FlatImage{stages: make([]flatStage, len(img.Stages)), k: img.K}
+func flatten(img *Image) *flatImage {
+	f := &flatImage{stages: make([]flatStage, len(img.Stages))}
 	words := 0
 	for s := range img.Stages {
 		for i := range img.Stages[s].Entries {
@@ -118,9 +117,3 @@ func Flatten(img *Image) *FlatImage {
 	}
 	return f
 }
-
-// Stages returns the pipeline depth of the flattened image.
-func (f *FlatImage) Stages() int { return len(f.stages) }
-
-// K returns the number of virtual networks the image serves.
-func (f *FlatImage) K() int { return f.k }

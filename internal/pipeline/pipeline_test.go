@@ -216,40 +216,6 @@ func TestLookupOutOfRangeVN(t *testing.T) {
 	}
 }
 
-func TestRunConcurrentMatchesSequential(t *testing.T) {
-	set, err := rib.GenerateVirtualSet(3, 250, 0.4, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := merge.Build(set.Tables)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LeafPush()
-	img, err := CompileMerged(m, 28)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(15))
-	reqs := make([]Request, 1000)
-	for i := range reqs {
-		reqs[i] = Request{Addr: ip.Addr(rng.Uint32()), VN: rng.Intn(3)}
-	}
-	seq, _, err := NewSim(img).Run(reqs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc := RunConcurrent(img, reqs)
-	if len(conc) != len(seq) {
-		t.Fatalf("concurrent returned %d results, want %d", len(conc), len(seq))
-	}
-	for i := range seq {
-		if seq[i].Addr != conc[i].Addr || seq[i].NHI != conc[i].NHI || seq[i].VN != conc[i].VN {
-			t.Fatalf("result %d differs: seq %+v vs conc %+v", i, seq[i], conc[i])
-		}
-	}
-}
-
 func TestMemLayoutStageBits(t *testing.T) {
 	tbl := genTable(t, 500, 16)
 	img := compileSingle(t, tbl, 28)

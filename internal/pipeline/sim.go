@@ -89,6 +89,19 @@ func (s Stats) Occupancy() float64 {
 	return meanFraction(s.StageOccupied, s.Cycles)
 }
 
+// newStats returns zeroed counters for a pipeline of the given depth.
+func newStats(stages int) Stats {
+	return Stats{StageActive: make([]int64, stages), StageOccupied: make([]int64, stages)}
+}
+
+// reset zeroes the counters in place, keeping the per-stage slices, so
+// Sim.Reset and BatchSim.Reset allocate nothing.
+func (s *Stats) reset() {
+	s.Cycles, s.Lookups, s.Bubbles, s.Faults = 0, 0, 0, 0
+	clear(s.StageActive)
+	clear(s.StageOccupied)
+}
+
 func meanFraction(counts []int64, cycles int64) float64 {
 	if cycles == 0 || len(counts) == 0 {
 		return 0
@@ -206,10 +219,7 @@ func NewSim(img *Image) *Sim {
 	return &Sim{
 		img:  img,
 		regs: make([]*flight, len(img.Stages)),
-		st: Stats{
-			StageActive:   make([]int64, len(img.Stages)),
-			StageOccupied: make([]int64, len(img.Stages)),
-		},
+		st:   newStats(len(img.Stages)),
 	}
 }
 
@@ -394,19 +404,9 @@ func (s *Sim) Run(reqs []Request, interarrival int) ([]Result, Stats, error) {
 	startFaults := s.st.Faults
 	results := make([]Result, 0, len(reqs))
 	collect := func(f *flight) {
-		if f == nil {
-			return
+		if res, ok := s.exit(f); ok {
+			results = append(results, res)
 		}
-		results = append(results, Result{
-			Request:    f.req,
-			NHI:        f.nhi,
-			EnterCycle: f.enter,
-			ExitCycle:  s.now - 1, // cycle at which the packet left the last stage
-			Faulted:    f.faulted,
-			LastStage:  int(f.last),
-			Visits:     f.visitLog(),
-		})
-		s.recycle(f)
 	}
 	for i, r := range reqs {
 		collect(s.step(s.newFlight(r, s.now)))
@@ -441,13 +441,7 @@ func (s *Sim) Reset() {
 		}
 	}
 	s.now = 0
-	s.st.Cycles, s.st.Lookups, s.st.Bubbles, s.st.Faults = 0, 0, 0, 0
-	for i := range s.st.StageActive {
-		s.st.StageActive[i] = 0
-	}
-	for i := range s.st.StageOccupied {
-		s.st.StageOccupied[i] = 0
-	}
+	s.st.reset()
 	s.next = nil
 	s.bubblesLeft = 0
 	for i := range s.bankNew {
@@ -456,115 +450,18 @@ func (s *Sim) Reset() {
 }
 
 // Lookup resolves a single request against the image and returns its NHI —
-// a convenience for correctness probes. It performs the same stage walk as
-// Sim.process (parity unchecked, faults resolving to NoRoute) directly on
-// the image, without constructing a throwaway simulator per probe; bulk
-// probing should use Lookups, which batches the vectors through one engine.
+// a convenience for correctness probes. It runs the request through
+// Sim.process on a stack-local simulator and flight (parity unchecked,
+// faults resolving to NoRoute, no trace recorded), so it allocates nothing;
+// bulk probing should use Lookups, which batches the vectors through one
+// engine.
 func Lookup(img *Image, req Request) ip.NextHop {
-	idx := uint32(0)
-	for s := range img.Stages {
-		entries := img.Stages[s].Entries
-		for {
-			if int(idx) >= len(entries) {
-				return ip.NoRoute
-			}
-			e := &entries[idx]
-			if e.Leaf {
-				if req.VN < 0 || req.VN >= len(e.NHI) {
-					return ip.NoRoute
-				}
-				return e.NHI[req.VN]
-			}
-			next := e.Child[req.Addr.Bit(e.Level)]
-			if img.Map.Stage(e.Level+1) == s {
-				idx = next
-				continue
-			}
-			idx = next
-			break
-		}
+	s := Sim{img: img}
+	f := flight{req: req}
+	for stage := 0; stage < len(img.Stages) && !f.resolved; stage++ {
+		s.process(stage, &f)
 	}
-	return ip.NoRoute
-}
-
-// RunConcurrent executes the same semantics as Run(reqs, 1) with one
-// goroutine per pipeline stage connected by channels — the share-memory-by-
-// communicating construction of the same hardware structure. Results arrive
-// in request order. Cycle stamps are not meaningful in this mode; activity
-// counters are not collected. Parity is unchecked, matching a Sim without
-// EnableParityCheck; RunConcurrentChecked adds the per-access check.
-func RunConcurrent(img *Image, reqs []Request) []Result {
-	return RunConcurrentChecked(img, reqs, false)
-}
-
-// RunConcurrentChecked is RunConcurrent with optional per-access parity
-// verification, the channel pipeline's equivalent of EnableParityCheck.
-// Fault semantics match the scalar path exactly: an out-of-range child
-// pointer or a stale-parity word terminates the lookup as Faulted with NHI
-// NoRoute — drop, never misforward.
-func RunConcurrentChecked(img *Image, reqs []Request, parity bool) []Result {
-	type token struct {
-		f *flight
-	}
-	in := make(chan token, 1)
-	cur := in
-	for i := range img.Stages {
-		next := make(chan token, 1)
-		go func(stage int, from, to chan token) {
-			for t := range from {
-				f := t.f
-				if !f.resolved {
-					f.last = int32(stage)
-					// Same per-stage work as Sim.process, fault paths
-					// included.
-					for {
-						if int(f.idx) >= len(img.Stages[stage].Entries) {
-							f.resolved = true
-							f.faulted = true
-							f.nhi = ip.NoRoute
-							break
-						}
-						e := img.Stages[stage].Entries[f.idx]
-						if parity && e.Parity != e.DataParity() {
-							f.resolved = true
-							f.faulted = true
-							f.nhi = ip.NoRoute
-							break
-						}
-						if e.Leaf {
-							f.resolved = true
-							if f.req.VN < 0 || f.req.VN >= len(e.NHI) {
-								f.nhi = ip.NoRoute
-							} else {
-								f.nhi = e.NHI[f.req.VN]
-							}
-							break
-						}
-						bit := f.req.Addr.Bit(e.Level)
-						f.idx = e.Child[bit]
-						if img.Map.Stage(e.Level+1) != stage {
-							break
-						}
-					}
-				}
-				to <- t
-			}
-			close(to)
-		}(i, cur, next)
-		cur = next
-	}
-	go func() {
-		for i := range reqs {
-			in <- token{&flight{req: reqs[i], idx: 0}}
-		}
-		close(in)
-	}()
-	results := make([]Result, 0, len(reqs))
-	for t := range cur {
-		results = append(results, Result{Request: t.f.req, NHI: t.f.nhi, Faulted: t.f.faulted, LastStage: int(t.f.last)})
-	}
-	obsLookups.Add(int64(len(results)))
-	return results
+	return f.nhi
 }
 
 // Inject advances the pipeline one cycle, feeding req into stage 0 (nil for
@@ -576,20 +473,26 @@ func (s *Sim) Inject(req *Request) (Result, bool) {
 	if req != nil {
 		in = s.newFlight(*req, s.now)
 	}
-	out := s.step(in)
-	if out == nil {
+	return s.exit(s.step(in))
+}
+
+// exit turns f, the lookup step just moved out of the last stage (nil when
+// that stage held none), into its Result and recycles the flight. Run,
+// Inject and InjectBubble all report completed lookups through it.
+func (s *Sim) exit(f *flight) (Result, bool) {
+	if f == nil {
 		return Result{}, false
 	}
 	res := Result{
-		Request:    out.req,
-		NHI:        out.nhi,
-		EnterCycle: out.enter,
-		ExitCycle:  s.now - 1,
-		Faulted:    out.faulted,
-		LastStage:  int(out.last),
-		Visits:     out.visitLog(),
+		Request:    f.req,
+		NHI:        f.nhi,
+		EnterCycle: f.enter,
+		ExitCycle:  s.now - 1, // cycle at which the packet left the last stage
+		Faulted:    f.faulted,
+		LastStage:  int(f.last),
+		Visits:     f.visitLog(),
 	}
-	s.recycle(out)
+	s.recycle(f)
 	return res, true
 }
 
@@ -666,19 +569,6 @@ func (s *Sim) InjectBubble() (Result, bool, error) {
 	f.commit = s.bubblesLeft == 0
 	f.enter = s.now
 	s.st.Bubbles++
-	out := s.step(f)
-	if out == nil {
-		return Result{}, false, nil
-	}
-	res := Result{
-		Request:    out.req,
-		NHI:        out.nhi,
-		EnterCycle: out.enter,
-		ExitCycle:  s.now - 1,
-		Faulted:    out.faulted,
-		LastStage:  int(out.last),
-		Visits:     out.visitLog(),
-	}
-	s.recycle(out)
-	return res, true, nil
+	res, ok := s.exit(s.step(f))
+	return res, ok, nil
 }

@@ -103,7 +103,7 @@ func Estimate(d SystemDesign) (Breakdown, error) {
 }
 
 // engineDyn returns engine e's (logic, memory) dynamic power at utilization
-// u and clock fMHz — the shared inner term of Estimate, DevicePowers and
+// u and clock fMHz — the shared inner term of Estimate and
 // EngineDynamicWatts.
 func (d SystemDesign) engineDyn(e int, u, fMHz float64) (logic, memory float64) {
 	if !d.ClockGating {
@@ -139,31 +139,6 @@ func (d SystemDesign) EngineDevice(e int) int {
 		return e
 	}
 	return 0
-}
-
-// DevicePowers splits Estimate's breakdown across the physical devices
-// under the EngineDevice mapping — the per-device view a power-cap governor
-// enforces device envelopes against. Summing the breakdowns reproduces
-// Estimate exactly.
-func DevicePowers(d SystemDesign) ([]Breakdown, error) {
-	if err := d.Validate(); err != nil {
-		return nil, err
-	}
-	scale := d.StaticScale
-	if scale == 0 {
-		scale = 1
-	}
-	out := make([]Breakdown, d.Devices)
-	for i := range out {
-		out[i].Static = StaticWatts(d.Grade) * scale
-	}
-	for e, eng := range d.Engines {
-		lw, mw := d.engineDyn(e, eng.Utilization, d.FMHz)
-		dev := &out[d.EngineDevice(e)]
-		dev.Logic += lw
-		dev.Memory += mw
-	}
-	return out, nil
 }
 
 // usesDistRAM reports whether a stage of the given size maps to

@@ -261,8 +261,6 @@ type (
 	// BatchSim is the batched, data-oriented lookup engine — scalar-
 	// equivalent results at batch-sweep speed.
 	BatchSim = pipeline.BatchSim
-	// FlatImage is the struct-of-arrays snapshot the batched engine sweeps.
-	FlatImage = pipeline.FlatImage
 )
 
 // NewSim builds a cycle-accurate simulator over an image.
@@ -271,12 +269,6 @@ func NewSim(img *Image) *Sim { return pipeline.NewSim(img) }
 // NewBatchSim flattens an image and builds the batched lookup engine over
 // the snapshot.
 func NewBatchSim(img *Image) *BatchSim { return pipeline.NewBatchSim(img) }
-
-// Flatten builds the struct-of-arrays snapshot of a compiled image.
-func Flatten(img *Image) *FlatImage { return pipeline.Flatten(img) }
-
-// RunConcurrent executes a lookup stream with one goroutine per stage.
-func RunConcurrent(img *Image, reqs []Request) []Result { return pipeline.RunConcurrent(img, reqs) }
 
 // DefaultLayout matches the paper's 18-bit read width.
 func DefaultLayout() MemLayout { return pipeline.DefaultLayout() }
